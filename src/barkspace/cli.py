@@ -170,8 +170,9 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _events_from_manifest(manifest_path, seg_cfg, feat_cfg):
-    entries = load_manifest(manifest_path)
+def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
+    """Featurise only the manifest rows that ``pipeline.select_split`` picks."""
+    entries = pipeline.select_split(load_manifest(manifest_path), split)
     return pipeline.load_event_features(entries, Path(manifest_path).parent, seg_cfg, feat_cfg)
 
 
@@ -187,7 +188,7 @@ def cmd_train(args) -> int:
     train_section["dimension"] = args.dim
     cfg = models.TrainConfig(**train_section)
 
-    events = pipeline.select_split(_events_from_manifest(args.manifest, seg_cfg, feat_cfg), "train")
+    events = _events_from_manifest(args.manifest, seg_cfg, feat_cfg, "train")
     if not events:
         raise ValueError(f"{args.manifest}: no training events")
     result = pipeline.train_dimension(events, args.model, cfg,
@@ -202,10 +203,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     ckpt = models.load_checkpoint(args.model)
-    events = pipeline.select_split(
-        _events_from_manifest(args.manifest, ckpt.segmentation_config, ckpt.feature_config),
-        args.split,
-    )
+    events = _events_from_manifest(args.manifest, ckpt.segmentation_config,
+                                   ckpt.feature_config, args.split)
     if not events:
         raise ValueError(f"{args.manifest}: no events in split {args.split!r}")
     report = evaluate(ckpt, pipeline.evaluation_events(events, ckpt.dimension))

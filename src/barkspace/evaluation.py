@@ -60,12 +60,17 @@ def calibrate_boundaries(train_predictions: Sequence[float],
 
     Candidates are midpoints between consecutive distinct predictions plus
     -inf/+inf; ties go to the smallest (t_low, then t_high). All three label
-    classes must be present.
+    classes must be present and every prediction finite: a diverged model
+    yields NaN or infinite scores and must not be given boundaries.
     """
     preds = np.asarray(train_predictions, dtype=np.float64)
     labels = list(train_labels)
     if len(preds) == 0 or len(preds) != len(labels):
         raise ValueError("predictions and labels must be aligned and non-empty")
+    bad = int(np.count_nonzero(~np.isfinite(preds)))
+    if bad:
+        raise ValueError(f"cannot calibrate boundaries: {bad} of {len(preds)} predictions "
+                         "are not finite (did training diverge?)")
     present = set(labels)
     missing = {OrdinalLabel.LOW, OrdinalLabel.MEDIUM, OrdinalLabel.HIGH} - present
     if missing:

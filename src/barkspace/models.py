@@ -179,7 +179,8 @@ def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainC
             err = pred - y[sel]
             losses.append(float(np.mean(err * err)) * len(sel))
             upstream = (2.0 / len(sel)) * err[:, None]
-            grads, _ = nn.backward(spec, params, tape, upstream.astype(np.float32))
+            grads, _ = nn.backward(spec, params, tape, upstream.astype(np.float32),
+                                   input_grad=False)
             nn.adam_step(params, grads, state, cfg.learning_rate)
         history.append(sum(losses) / n)
 
@@ -236,7 +237,7 @@ def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainCo
             losses.append(float(np.mean(err * err)) * b)
             g = (2.0 / b) * err
             upstream = np.concatenate((g, -g))[:, None].astype(np.float32)
-            grads, _ = nn.backward(spec, params, tape, upstream)
+            grads, _ = nn.backward(spec, params, tape, upstream, input_grad=False)
             nn.adam_step(params, grads, state, cfg.learning_rate)
         history.append(sum(losses) / len(pairs))
 
@@ -321,6 +322,8 @@ def _layer_to_dict(layer: nn.Layer) -> dict:
 
 
 def _layer_from_dict(d: dict) -> nn.Layer:
+    if not isinstance(d, dict):
+        raise CheckpointError(f"layer entry {d!r} is not an object")
     kind = d.get("kind")
     if kind == "conv2d":
         return nn.Conv2d(d["out_channels"], d["kernel_h"], d["kernel_w"])
@@ -433,25 +436,50 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     )
 
 
+def _meta_field(meta: dict, key: str, kind, path):
+    """meta[key], which must be present and of type ``kind`` (bool is no int)."""
+    value = meta.get(key)
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise CheckpointError(f"{path}: metadata field {key!r} is missing or not "
+                              f"{kind.__name__}")
+    return value
+
+
 def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     """Read and verify a BDN1 container.
 
     Raises CheckpointError on a bad magic, version mismatch, truncation,
-    checksum failure, or (when ``dimension`` is given) a dimension-tag
-    mismatch.
+    checksum failure, missing or mistyped metadata, or (when ``dimension``
+    is given) a dimension-tag mismatch.
     """
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {meta.get('version')!r}")
-    if dimension is not None and meta["dimension"] != dimension:
-        raise CheckpointError(
-            f"{path}: dimension tag is {meta['dimension']!r}, expected {dimension!r}"
+    tag = _meta_field(meta, "dimension", str, path)
+    if tag not in DIMENSIONS:
+        raise CheckpointError(f"{path}: unknown dimension tag {tag!r}")
+    if dimension is not None and tag != dimension:
+        raise CheckpointError(f"{path}: dimension tag is {tag!r}, expected {dimension!r}")
+    seed = _meta_field(meta, "seed", int, path)
+    sample_rate_hz = _meta_field(meta, "sample_rate_hz", int, path)
+    net = _meta_field(meta, "net_spec", dict, path)
+    fc = _meta_field(meta, "feature_config", dict, path)
+    sc = _meta_field(meta, "segmentation_config", dict, path)
+    b = meta.get("boundaries")
+    # the dataclass constructors and the spec's shape chain check the values
+    try:
+        spec = nn.NetSpec(
+            input_shape=tuple(_meta_field(net, "input_shape", list, path)),
+            layers=tuple(_layer_from_dict(d) for d in _meta_field(net, "layers", list, path)),
         )
-
-    spec = nn.NetSpec(
-        input_shape=tuple(meta["net_spec"]["input_shape"]),
-        layers=tuple(_layer_from_dict(d) for d in meta["net_spec"]["layers"]),
-    )
+        spec.output_shapes()
+        feature_config = FeatureConfig(**fc)
+        segmentation_config = SegmentationConfig(**sc)
+        boundaries = None if b is None else Boundaries(float(b["t_low"]), float(b["t_high"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata: {exc!r}") from exc
     layers = []
     for i, layer in enumerate(spec.layers):
         if isinstance(layer, (nn.Conv2d, nn.Dense)):
@@ -461,17 +489,14 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
                 raise CheckpointError(f"{path}: missing tensor for layer {i}") from exc
         else:
             layers.append(None)
-    fc = meta["feature_config"]
-    sc = meta["segmentation_config"]
-    b = meta["boundaries"]
     return Checkpoint(
-        dimension=meta["dimension"],
-        seed=meta["seed"],
+        dimension=tag,
+        seed=seed,
         net_spec=spec,
-        params=nn.Params(layers=layers, seed=meta["seed"]),
-        feature_config=FeatureConfig(**fc),
-        segmentation_config=SegmentationConfig(**sc),
-        sample_rate_hz=meta["sample_rate_hz"],
-        boundaries=None if b is None else Boundaries(b["t_low"], b["t_high"]),
+        params=nn.Params(layers=layers, seed=seed),
+        feature_config=feature_config,
+        segmentation_config=segmentation_config,
+        sample_rate_hz=sample_rate_hz,
+        boundaries=boundaries,
         version=meta["version"],
     )

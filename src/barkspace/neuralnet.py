@@ -4,9 +4,24 @@ Tensors are row-major numpy arrays; a network is an immutable NetSpec (input
 shape plus a layer list) and a Params object holding per-layer weights.
 Supported layers: conv2d (valid, stride 1), relu, maxpool2x2 (stride 2,
 truncating odd dims), flatten, dense. ``forward`` records a tape of cached
-activations which ``backward`` replays for exact reverse-mode gradients.
-Everything is a pure function of its arrays, so two runs with the same seed
-produce bit-identical trajectories.
+activations, one entry per layer, which ``backward`` replays for exact
+reverse-mode gradients. Everything is a pure function of its arrays, so two
+runs with the same seed produce bit-identical trajectories.
+
+Execution order differs from the layer order in one place: a relu directly
+before a maxpool2x2 runs after the pool, on 4x fewer cells, with its mask
+cached at pooled shape in the relu's tape slot. This is exact, ties
+included. Where a window's max is > 0, the positive cells keep their values
+and order under relu, so the same cell wins and gets the same gradient.
+Where it is <= 0, the output is 0 and the gradient is 0 under either order.
+
+Max-pooling copies its input once into four contiguous window planes
+(top-left, top-right, bottom-left, bottom-right) and runs a strict ``>``
+tournament over them, so ties go to the earliest position; the winning
+position is cached as an int8 window index. ``backward(..., input_grad=
+False)`` skips the work that only the input gradient needs (the first conv
+layer's patch GEMM and col2im) and returns None for it; training uses this,
+since nothing reads the gradient of the features.
 """
 
 from dataclasses import dataclass, field
@@ -228,13 +243,16 @@ def _conv_forward(x, w, b):
     return y + b[None, :, None, None], (x.shape, cols)
 
 
-def _conv_backward(d, cache, w):
+def _conv_backward(d, cache, w, input_grad=True):
+    """(dx, dw, db); dx is None when ``input_grad`` is False."""
     xshape, cols = cache
     o, c, kh, kw = w.shape
     b, _, hh, ww = d.shape
     dmat = d.reshape(b, o, hh * ww)
     dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, kh, kw)
     db = d.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dw, db
     # col2im: scatter patch gradients back one kernel offset at a time
     dcols = np.matmul(w.reshape(o, -1).T, dmat).reshape(b, c, kh, kw, hh, ww)
     dx = np.zeros(xshape, dtype=d.dtype)
@@ -244,32 +262,58 @@ def _conv_backward(d, cache, w):
     return dx, dw, db
 
 
+def _bits(a):
+    """Same-width integer view of a float array, for branch-free selection.
+
+    ``np.where`` and ``copyto(where=)`` branch per element and run several
+    times slower on the random masks of max-pooling; an AND with a 0/-1 mask
+    selects the exact bits instead (dropped elements become +0.0).
+    """
+    return a.view(np.dtype(f"i{a.itemsize}"))
+
+
 def _pool_forward(x):
     b, c, h, w = x.shape
     h2, w2 = h // 2, w // 2
-    tl = x[:, :, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2]
-    tr = x[:, :, 0 : 2 * h2 : 2, 1 : 2 * w2 : 2]
-    bl = x[:, :, 1 : 2 * h2 : 2, 0 : 2 * w2 : 2]
-    br = x[:, :, 1 : 2 * h2 : 2, 1 : 2 * w2 : 2]
+    # one contiguous copy, window-major: planes[:, :, p, q] holds the cells
+    # (2i+p, 2j+q) of every window, so the tournament reads contiguous planes
+    planes = np.ascontiguousarray(
+        x[:, :, : 2 * h2, : 2 * w2].reshape(b, c, h2, 2, w2, 2).transpose(0, 1, 3, 5, 2, 4))
+    tl, tr, bl, br = planes[:, :, 0, 0], planes[:, :, 0, 1], planes[:, :, 1, 0], planes[:, :, 1, 1]
     # strict > everywhere: ties resolve to the earlier window position
-    m_top = np.maximum(tl, tr)
-    m_bot = np.maximum(bl, br)
-    take_bot = m_bot > m_top
-    y = np.where(take_bot, m_bot, m_top)
-    idx = np.where(take_bot, (br > bl) + 2, (tr > tl).astype(np.intp))
+    y = np.maximum(tl, tr)
+    bot = np.maximum(bl, br)
+    take_bot = bot > y
+    right_top = tr > tl
+    # right = where(take_bot, br > bl, right_top), as boolean algebra
+    right = right_top ^ ((right_top ^ (br > bl)) & take_bot)
+    # y = where(take_bot, bot, y): flip the bits in which bot differs from y,
+    # on the windows where take_bot
+    diff = _bits(bot)
+    diff ^= _bits(y)
+    diff &= -take_bot.view(np.int8)
+    y_bits = _bits(y)
+    y_bits ^= diff
+    idx = 2 * take_bot.view(np.int8) + right.view(np.int8)
     return y, (idx, x.shape)
 
 
 def _pool_backward(d, cache):
     idx, xshape = cache
-    b, c, h, w = xshape
-    h2, w2 = h // 2, w // 2
-    g4 = np.zeros((b, c, h2, w2, 4), dtype=d.dtype)
-    np.put_along_axis(g4, idx[..., None], d[..., None], axis=-1)
-    g = g4.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * h2, 2 * w2)
+    h2, w2 = xshape[2] // 2, xshape[3] // 2
     dx = np.zeros(xshape, dtype=d.dtype)
-    dx[:, :, : 2 * h2, : 2 * w2] = g
+    for k in range(4):
+        p, q = divmod(k, 2)
+        keep = -(idx == k).view(np.int8)  # 0 or -1 (all bits set)
+        # dx's window cell k gets d where it won and keeps +0.0 elsewhere
+        np.bitwise_and(_bits(d), keep, out=_bits(dx[:, :, p : 2 * h2 : 2, q : 2 * w2 : 2]))
     return dx
+
+
+def _pool_follows(layers, i) -> bool:
+    """True for a Relu at ``i`` directly before a MaxPool2x2; it runs after the pool."""
+    return (0 <= i < len(layers) - 1 and isinstance(layers[i], Relu)
+            and isinstance(layers[i + 1], MaxPool2x2))
 
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray):
@@ -296,11 +340,17 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
             x, cache = _conv_forward(x, params.layers[i]["w"], params.layers[i]["b"])
             caches.append(cache)
         elif isinstance(layer, Relu):
+            if _pool_follows(spec.layers, i):
+                caches.append(None)  # the pool fills in this layer's mask
+                continue
             caches.append(x > 0)
             x = np.maximum(x, 0)
         elif isinstance(layer, MaxPool2x2):
             x, cache = _pool_forward(x)
             caches.append(cache)
+            if _pool_follows(spec.layers, i - 1):
+                caches[i - 1] = x > 0
+                x = np.maximum(x, 0)
         elif isinstance(layer, Flatten):
             caches.append(x.shape)
             x = x.reshape(x.shape[0], -1)
@@ -311,12 +361,15 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
     return y, Tape(caches=caches, batched=batched, n_layers=len(spec.layers))
 
 
-def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray):
+def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
+             *, input_grad: bool = True):
     """Reverse-mode gradients of the forward pass.
 
     ``upstream`` has the shape of the forward output. Returns (grads, dx)
     where grads mirrors the Params layout and dx is the gradient w.r.t. the
-    input (batch axis included iff the forward input had one).
+    input (batch axis included iff the forward input had one). With
+    ``input_grad=False`` the walk stops at the first layer with parameters,
+    skipping the work that only dx needs, and dx is None.
     """
     if tape.n_layers != len(spec.layers) or len(tape.caches) != len(spec.layers):
         raise ValueError("tape does not match spec")
@@ -325,22 +378,32 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray):
         d = d[None]
 
     grads = [None] * len(spec.layers)
-    for i in range(len(spec.layers) - 1, -1, -1):
+    stop = 0
+    if not input_grad:
+        stop = next((i for i, e in enumerate(params.layers) if e is not None), len(spec.layers))
+    for i in range(len(spec.layers) - 1, stop - 1, -1):
         layer = spec.layers[i]
         cache = tape.caches[i]
+        want_d = input_grad or i > stop
         if isinstance(layer, Conv2d):
-            d, dw, db = _conv_backward(d, cache, params.layers[i]["w"])
+            d, dw, db = _conv_backward(d, cache, params.layers[i]["w"], want_d)
             grads[i] = {"w": dw, "b": db}
         elif isinstance(layer, Relu):
-            d = d * cache
+            if not _pool_follows(spec.layers, i):
+                d = d * cache
         elif isinstance(layer, MaxPool2x2):
+            if _pool_follows(spec.layers, i - 1):
+                d = d * tape.caches[i - 1]
             d = _pool_backward(d, cache)
         elif isinstance(layer, Flatten):
             d = d.reshape(cache)
         elif isinstance(layer, Dense):
             xin = cache
             grads[i] = {"w": d.T @ xin, "b": d.sum(axis=0)}
-            d = d @ params.layers[i]["w"]
+            if want_d:
+                d = d @ params.layers[i]["w"]
+    if not input_grad:
+        return grads, None
     return grads, (d if tape.batched else d[0])
 
 

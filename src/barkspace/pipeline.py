@@ -81,15 +81,18 @@ def evaluation_events(events: Sequence[EventData], dimension: str):
     return [(ev.event_id, ev.label(dimension), ev.features) for ev in events]
 
 
-def select_split(events: Sequence[EventData], split: Optional[str]) -> list[EventData]:
-    """Rows of one split; rows without a split tag belong to every selection."""
+def select_split(rows: Sequence, split: Optional[str]) -> list:
+    """Rows (manifest entries or events) tagged ``split``.
+
+    When no row carries that tag, the untagged rows are chosen instead, so an
+    unsplit manifest serves every selection.
+    """
     if split is None:
-        return list(events)
-    chosen = [ev for ev in events if ev.split == split]
+        return list(rows)
+    chosen = [row for row in rows if row.split == split]
     if chosen:
         return chosen
-    untagged = [ev for ev in events if ev.split is None]
-    return untagged
+    return [row for row in rows if row.split is None]
 
 
 def train_dimension(events: Sequence[EventData], model_kind: str,

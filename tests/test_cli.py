@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from barkspace.audio_io import AudioClip, read_wav, write_wav
 from barkspace.cli import main
 from barkspace.corpus import load_manifest
 from barkspace.evaluation import EvalReport
-from barkspace.models import load_checkpoint
+from barkspace.models import CHECKPOINT_MAGIC, _pack_container, load_checkpoint
 from barkspace.projection import load_points
 
 SR = 22050
@@ -102,6 +103,18 @@ def test_train_missing_class_is_data_error(corpus_dir, tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
+def test_diverged_training_is_data_error_and_saves_nothing(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", "5", "--n-events", "18", "--out", str(corpus)) == 0
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--manifest", str(corpus / "manifest.csv"), "--dim", "arousal",
+               "--model", "baseline", "--epochs", "3", "--lr", "1e4", "--out", str(out))
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     assert run("train", "--manifest", str(tmp_path / "none.csv"), "--dim", "arousal",
                "--model", "baseline", "--out", str(tmp_path / "x.ckpt")) == 2
@@ -126,6 +139,31 @@ def test_eval_report_schema(checkpoints, split_manifest, tmp_path):
     # histogram counts sum to the number of test frames
     assert sum(sum(v) for v in data["histograms"].values()) == data["n_frames"]
     EvalReport.from_json(report_path.read_text())  # parses losslessly
+
+
+def test_eval_featurises_only_its_split(checkpoints, corpus_dir, split_manifest, tmp_path):
+    full = tmp_path / "full.json"
+    assert run("eval", "--model", str(checkpoints["valence"]), "--manifest",
+               str(split_manifest), "--split", "test", "--report", str(full)) == 0
+    copy = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, copy)
+    gone = next(e for e in load_manifest(copy / "split.csv") if e.split == "train")
+    (copy / gone.path).unlink()
+    pruned = tmp_path / "pruned.json"
+    assert run("eval", "--model", str(checkpoints["valence"]), "--manifest",
+               str(copy / "split.csv"), "--split", "test", "--report", str(pruned)) == 0
+    assert pruned.read_bytes() == full.read_bytes()
+    assert run("eval", "--model", str(checkpoints["valence"]), "--manifest",
+               str(copy / "split.csv"), "--split", "train", "--report", str(pruned)) == 2
+
+
+def test_eval_checkpoint_without_metadata_is_data_error(split_manifest, tmp_path, capsys):
+    bare = tmp_path / "bare.ckpt"
+    bare.write_bytes(_pack_container(CHECKPOINT_MAGIC, {"version": 1}, []))
+    code = run("eval", "--model", str(bare), "--manifest", str(split_manifest),
+               "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_project_manifest_roundtrip(checkpoints, corpus_dir, tmp_path):

@@ -61,6 +61,13 @@ def test_calibration_spec_example():
     assert train_accuracy(preds, labels, b) == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibration_rejects_non_finite_predictions(bad):
+    preds = [-1.0, bad, 0.0, 0.1, 1.0, 1.1]
+    with pytest.raises(ValueError, match="not finite"):
+        calibrate_boundaries(preds, [L, L, M, M, H, H])
+
+
 def test_calibration_degenerate_identical_predictions():
     preds = [0.7] * 6
     labels = [L, L, L, M, H, H]  # majority Low

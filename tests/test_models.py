@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,8 +8,8 @@ from barkspace import neuralnet as nn
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
-from barkspace.models import (Checkpoint, CheckpointError, TrainConfig,
-                              load_checkpoint, make_pairs, predict_event,
+from barkspace.models import (CHECKPOINT_MAGIC, Checkpoint, CheckpointError,
+                              TrainConfig, _pack_container, load_checkpoint, make_pairs, predict_event,
                               predict_many, predict_scalar, save_checkpoint,
                               siamese_forward, train_baseline, train_siamese)
 from barkspace.segmentation import Frame, SegmentationConfig
@@ -287,3 +288,45 @@ def test_checkpoint_dimension_tag(tmp_path):
     assert load_checkpoint(path, dimension="valence").dimension == "valence"
     with pytest.raises(CheckpointError, match="dimension"):
         load_checkpoint(path, dimension="arousal")
+
+
+def _saved_meta(tmp_path, ckpt):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, path)
+    blob = path.read_bytes()
+    meta_len = int.from_bytes(blob[4:8], "little")
+    return json.loads(blob[8 : 8 + meta_len])
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda m: m.pop("net_spec"), id="no-net-spec"),
+    pytest.param(lambda m: m.pop("seed"), id="no-seed"),
+    pytest.param(lambda m: m.update(seed="7"), id="seed-str"),
+    pytest.param(lambda m: m.update(dimension=3), id="dimension-int"),
+    pytest.param(lambda m: m.update(dimension="pitch"), id="dimension-unknown"),
+    pytest.param(lambda m: m.update(net_spec=[1, 2]), id="net-spec-list"),
+    pytest.param(lambda m: m["net_spec"].pop("layers"), id="no-layers"),
+    pytest.param(lambda m: m["net_spec"]["layers"].__setitem__(0, "conv2d"), id="layer-str"),
+    pytest.param(lambda m: m["net_spec"]["layers"][0].pop("kernel_h"), id="layer-no-kernel"),
+    pytest.param(lambda m: m["net_spec"].update(input_shape=[1, 2]), id="input-shape-2d"),
+    pytest.param(lambda m: m["feature_config"].update(bogus=1), id="feature-unknown-key"),
+    pytest.param(lambda m: m["feature_config"].update(hop="x"), id="feature-hop-str"),
+    pytest.param(lambda m: m.update(segmentation_config=None), id="segmentation-null"),
+    pytest.param(lambda m: m.update(boundaries={"t_low": 1.0}), id="boundaries-partial"),
+    pytest.param(lambda m: m.update(boundaries=[0.0, 1.0]), id="boundaries-list"),
+])
+def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
+    ckpt = toy_checkpoint(boundaries=Boundaries(-0.5, 0.5))
+    meta = _saved_meta(tmp_path, ckpt)
+    mutate(meta)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_metadata_not_an_object(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, [1], []))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -195,3 +195,129 @@ def test_adam_shape_mismatch_rejected():
     bad = [None if e is None else {k: np.zeros(3) for k in e} for e in p.layers]
     with pytest.raises(ValueError):
         nn.adam_step(p, bad, state, lr=0.1)
+
+
+def naive_pool(x, d):
+    """Per-window loop oracle: the first maximum in tl, tr, bl, br order wins
+    the window and takes its gradient; odd last rows/columns are dropped."""
+    b, c, h, w = x.shape
+    y = np.zeros((b, c, h // 2, w // 2), dtype=x.dtype)
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for ch in range(c):
+            for i in range(h // 2):
+                for j in range(w // 2):
+                    cells = [(2 * i, 2 * j), (2 * i, 2 * j + 1),
+                             (2 * i + 1, 2 * j), (2 * i + 1, 2 * j + 1)]
+                    vals = [x[n, ch, r, s] for r, s in cells]
+                    k = int(np.argmax(vals))
+                    y[n, ch, i, j] = vals[k]
+                    dx[n, ch][cells[k]] = d[n, ch, i, j]
+    return y, dx
+
+
+def _tied_windows(rng, shape):
+    b, c, h, w = shape
+    base = rng.standard_normal((b, c, h // 2 + 1, w // 2 + 1))
+    return np.repeat(np.repeat(base, 2, axis=2), 2, axis=3)[:, :, :h, :w]
+
+
+POOL_INPUTS = {
+    "random": lambda rng, shape: rng.standard_normal(shape),
+    "all-tied": _tied_windows,
+    "few-levels": lambda rng, shape: rng.integers(-1, 2, size=shape).astype(float),
+    "all-negative": lambda rng, shape: -0.1 - np.abs(rng.standard_normal(shape)),
+    "relu-zeros": lambda rng, shape: np.maximum(rng.standard_normal(shape), 0.0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 2, 6, 4), (2, 3, 7, 5), (2, 1, 5, 6), (1, 2, 4, 9)])
+@pytest.mark.parametrize("kind", sorted(POOL_INPUTS))
+def test_maxpool_matches_per_window_oracle(kind, shape, dtype):
+    rng = np.random.default_rng(len(kind) * 100 + shape[2] * 10 + shape[3])
+    x = POOL_INPUTS[kind](rng, shape).astype(dtype)
+    spec = nn.NetSpec(shape[1:], (nn.MaxPool2x2(),))
+    y, tape = nn.forward(spec, nn.init_params(spec, 0), x)
+    d = rng.standard_normal(y.shape).astype(dtype)
+    _, dx = nn.backward(spec, nn.init_params(spec, 0), tape, d)
+    y_ref, dx_ref = naive_pool(x, d)
+    assert y.dtype == dtype and dx.dtype == dtype
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(dx, dx_ref)
+    h2, w2 = shape[2] // 2, shape[3] // 2
+    assert np.all(dx[:, :, 2 * h2 :, :] == 0) and np.all(dx[:, :, :, 2 * w2 :] == 0)
+
+
+def unfused_reference(spec, params, x, upstream):
+    """Forward and backward with every Relu -> MaxPool2x2 pair split into
+    separate specs, so the Relu runs at full resolution before the pool."""
+    shapes = [tuple(spec.input_shape)] + spec.output_shapes()
+    layers = spec.layers
+    cuts = {0, len(layers)}
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i], nn.Relu) and isinstance(layers[i + 1], nn.MaxPool2x2):
+            cuts |= {i, i + 1}
+    bounds = sorted(cuts)
+    segments = []
+    h = x
+    for lo, hi in zip(bounds, bounds[1:]):
+        sub = nn.NetSpec(shapes[lo], layers[lo:hi])
+        sub_params = nn.Params(layers=params.layers[lo:hi], seed=params.seed)
+        h, tape = nn.forward(sub, sub_params, h)
+        segments.append((sub, sub_params, tape))
+    d = upstream
+    grads = []
+    for sub, sub_params, tape in reversed(segments):
+        g, d = nn.backward(sub, sub_params, tape, d)
+        grads = g + grads
+    return h, grads, d
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", [
+    nn.NetSpec((2, 7, 6), (nn.Relu(), nn.MaxPool2x2())),
+    nn.default_net_spec((1, 20, 15)),
+], ids=["relu-pool", "default-net"])
+def test_relu_after_pool_is_bit_equal_to_relu_first(spec, dtype):
+    rng = np.random.default_rng(8)
+    params = nn.init_params(spec, 3, dtype=dtype)
+    x = rng.standard_normal((4,) + spec.input_shape).astype(dtype)
+    x[:, :, :8, :] = 0.0  # flat region: tied windows and exact zeros
+    x[1] = np.round(x[1])  # few levels: partial ties
+    if isinstance(spec.layers[0], nn.Conv2d):
+        # constant input gives conv output == bias: negative, zero and positive ties
+        params.layers[0]["b"][:] = np.resize(np.array([-0.5, 0.0, 0.25], dtype=dtype), 8)
+    else:
+        x[2] = -np.abs(x[2])  # all-negative windows
+    y, tape = nn.forward(spec, params, x)
+    upstream = rng.standard_normal(y.shape).astype(dtype)
+    grads, dx = nn.backward(spec, params, tape, upstream)
+    y_ref, grads_ref, dx_ref = unfused_reference(spec, params, x, upstream)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(dx, dx_ref)
+    for g, g_ref in zip(grads, grads_ref):
+        assert (g is None) == (g_ref is None)
+        if g is not None:
+            assert np.array_equal(g["w"], g_ref["w"]) and np.array_equal(g["b"], g_ref["b"])
+
+
+@pytest.mark.parametrize("spec", [
+    TINY,
+    nn.default_net_spec((1, 20, 15)),
+    nn.NetSpec((1, 6, 5), (nn.Relu(), nn.Conv2d(2, 2, 2), nn.Relu(), nn.Flatten(), nn.Dense(1))),
+    nn.NetSpec((1, 1, 4), (nn.Flatten(), nn.Dense(2), nn.Relu(), nn.Dense(1))),
+], ids=["tiny", "default-net", "relu-first", "dense-only"])
+def test_backward_without_input_grad_gives_same_param_grads(spec):
+    rng = np.random.default_rng(5)
+    params = nn.init_params(spec, 9, dtype=np.float32)
+    x = rng.standard_normal((3,) + spec.input_shape).astype(np.float32)
+    y, tape = nn.forward(spec, params, x)
+    upstream = rng.standard_normal(y.shape).astype(np.float32)
+    grads, dx = nn.backward(spec, params, tape, upstream)
+    lean, none = nn.backward(spec, params, tape, upstream, input_grad=False)
+    assert dx is not None and none is None
+    for g, g_lean in zip(grads, lean):
+        assert (g is None) == (g_lean is None)
+        if g is not None:
+            assert np.array_equal(g["w"], g_lean["w"]) and np.array_equal(g["b"], g_lean["b"])
