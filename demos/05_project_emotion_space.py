@@ -10,9 +10,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from barkspace import SynthConfig, TrainConfig, export_points, synth_corpus
+from barkspace import SynthConfig, TrainConfig, export_points, project_event, synth_corpus
 from barkspace import pipeline
-from barkspace.projection import project_scores
 
 out = Path(tempfile.mkdtemp(prefix="barkspace_project_"))
 entries = synth_corpus(SynthConfig(seed=11, n_events=54, duration_range=(0.2, 0.8)), out)
@@ -24,16 +23,9 @@ for dim in ("arousal", "valence"):
                       learning_rate=1e-3, seed=11, pairs_per_epoch=700)
     checkpoints[dim] = pipeline.train_dimension(events, "siamese", cfg).checkpoint
 
-from barkspace.models import predict_many  # scores straight from the grids
-
-points = []
-for ev in events:
-    a = float(predict_many(checkpoints["arousal"], ev.features).mean())
-    v = float(predict_many(checkpoints["valence"], ev.features).mean())
-    points.append(project_scores(ev.event_id, a, v,
-                                 checkpoints["arousal"].boundaries,
-                                 checkpoints["valence"].boundaries,
-                                 len(ev.features)))
+# both axes score the grids featurised above; nothing is featurised twice
+points = [project_event(checkpoints["arousal"], checkpoints["valence"], ev.event_id, ev.features)
+          for ev in events]
 
 csv_path = out / "points.csv"
 export_points(points, csv_path)

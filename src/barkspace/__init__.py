@@ -23,9 +23,8 @@ from .evaluation import (Boundaries, ConfusionMatrix, EvalReport, UndefinedMetri
 from .features import FeatureConfig, log_mel, mel_filterbank, stft_power
 from .labels import OrdinalLabel, parse_label
 from .models import (Checkpoint, TrainConfig, TrainResult, load_checkpoint,
-                     load_tensor_file, make_pairs, predict_event, predict_scalar,
-                     save_checkpoint, save_tensor_file, siamese_forward,
-                     train_baseline, train_siamese)
+                     load_tensor_file, make_pairs, predict_event, save_checkpoint,
+                     save_tensor_file, siamese_forward, train_baseline, train_siamese)
 from .projection import EmotionPoint, export_points, project_event, quadrant_of
 from .segmentation import (EventSegment, Frame, SegmentationConfig,
                            detect_nonsilent, frame_segment)

@@ -18,7 +18,7 @@ from .audio_io import (CANONICAL_RATE_HZ, AudioClip, UnsupportedWavError,
 from .corpus import (ManifestError, SynthConfig, load_manifest, save_manifest,
                      synth_corpus)
 from .evaluation import UndefinedMetricError, evaluate, event_level_split
-from .features import FeatureConfig, log_mel
+from .features import FeatureConfig
 from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
 
 USAGE_ERROR = 1
@@ -70,7 +70,7 @@ def _seg_config(args, config) -> SegmentationConfig:
     })
 
 
-def _feat_config(args, config) -> FeatureConfig:
+def _feat_config(config) -> FeatureConfig:
     fc = dict(config.get("features", {}))
     if "fmax" in fc and fc["fmax"] is not None:
         fc["fmax"] = float(fc["fmax"])
@@ -115,11 +115,10 @@ def cmd_segment(args) -> int:
 def cmd_featurize(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(args, config)
+    feat_cfg = _feat_config(config)
     in_path = Path(args.in_path)
     clip = read_wav(in_path)
-    frames = pipeline.frames_of_clip(clip, in_path.stem, seg_cfg)
-    grids = [log_mel(f, feat_cfg, CANONICAL_RATE_HZ) for f in frames]
+    grids = pipeline.featurise(pipeline.frames_of_clip(clip, in_path.stem, seg_cfg), feat_cfg)
 
     if args.format == "bin":
         meta = {"kind": "log_mel", "source": str(in_path), "n_frames": len(grids),
@@ -179,7 +178,7 @@ def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(args, config)
+    feat_cfg = _feat_config(config)
     train_section = dict(config.get("train", {}))
     overrides = {"epochs": args.epochs, "batch_size": args.batch,
                  "learning_rate": args.lr, "seed": args.seed,
@@ -216,54 +215,42 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
+    """Featurise each event once; both axes score the same grids."""
     arousal_ckpt = models.load_checkpoint(args.arousal_model, dimension="arousal")
     valence_ckpt = models.load_checkpoint(args.valence_model, dimension="valence")
-    seg_cfg = arousal_ckpt.segmentation_config
+    projection.check_pair(arousal_ckpt, valence_ckpt)
+    seg_cfg, feat_cfg = arousal_ckpt.segmentation_config, arousal_ckpt.feature_config
 
     in_path = Path(args.in_path)
-    labeled = None
-    per_event_frames = []
     if in_path.suffix.lower() == ".csv":
-        entries = load_manifest(in_path)
-        labeled = {e.event_id: e for e in entries}
-        for e in entries:
-            wav = Path(e.path)
-            if not wav.is_absolute():
-                wav = in_path.parent / wav
-            clip = read_wav(wav)
-            per_event_frames.append(pipeline.frames_of_clip(clip, e.event_id, seg_cfg))
+        labeled = pipeline.load_event_features(load_manifest(in_path), in_path.parent,
+                                               seg_cfg, feat_cfg)
+        events = [(ev.event_id, ev.features) for ev in labeled]
+    elif args.hist:
+        raise ValueError("--hist needs a labeled manifest input")
     else:
         clip = resample(read_wav(in_path), CANONICAL_RATE_HZ)
-        for seg in detect_nonsilent(clip, seg_cfg, event_prefix=in_path.stem):
-            if np.abs(seg.samples).max() == 0.0:
-                continue
-            per_event_frames.append(frame_segment(seg, seg_cfg))
+        events = [(seg.event_id, pipeline.featurise(frame_segment(seg, seg_cfg), feat_cfg))
+                  for seg in detect_nonsilent(clip, seg_cfg, event_prefix=in_path.stem)
+                  if np.abs(seg.samples).max() > 0.0]
 
-    points = [projection.project_event(arousal_ckpt, valence_ckpt, frames)
-              for frames in per_event_frames]
+    points = [projection.project_event(arousal_ckpt, valence_ckpt, event_id, grids)
+              for event_id, grids in events]
     projection.export_points(points, args.out, fmt=args.format)
-
     if args.hist:
-        if labeled is None:
-            raise ValueError("--hist needs a labeled manifest input")
-        _write_projection_histograms(args.hist, per_event_frames, labeled,
-                                     arousal_ckpt, valence_ckpt)
+        _write_projection_histograms(args.hist, labeled, arousal_ckpt, valence_ckpt)
     if args.verbose:
         print(f"projected {len(points)} event(s) to {args.out}")
     return 0
 
 
-def _write_projection_histograms(path, per_event_frames, labeled,
-                                 arousal_ckpt, valence_ckpt, n_bins: int = 50):
+def _write_projection_histograms(path, events, arousal_ckpt, valence_ckpt,
+                                 n_bins: int = 50):
     """Per-class histograms of raw event scores for each dimension."""
     out = {}
     for dim, ckpt in (("arousal", arousal_ckpt), ("valence", valence_ckpt)):
-        scores, names = [], []
-        for frames in per_event_frames:
-            entry = labeled[frames[0].event_id]
-            scores.append(models.predict_event(ckpt, frames))
-            names.append((entry.arousal if dim == "arousal" else entry.valence).name.lower())
-        scores = np.asarray(scores)
+        scores = np.asarray([models.predict_event(ckpt, ev.features) for ev in events])
+        names = [ev.label(dim).name.lower() for ev in events]
         edges = np.histogram_bin_edges(scores, bins=n_bins)
         out[dim] = {
             "bin_edges": edges.tolist(),

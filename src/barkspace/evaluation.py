@@ -255,14 +255,25 @@ class EvalReport:
         return cls.from_dict(json.loads(text))
 
 
+def event_score(scores: Sequence[float]) -> float:
+    """An event's score: the mean of its frame scores, summed in sorted order.
+
+    Sorting makes the sum, and so the score, independent of frame order.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("an event needs at least one frame score")
+    return float(np.sort(scores).mean())
+
+
 def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequence[float]]],
                            boundaries: Boundaries, dimension: str,
                            n_bins: int = 50) -> EvalReport:
     """Build an EvalReport from per-frame scores grouped by event.
 
     ``scored_events`` holds (event_id, true label, frame scores). Event
-    scores are frame means; both granularities are decoded with the same
-    boundaries.
+    scores come from ``event_score``; both granularities are decoded with
+    the same boundaries.
     """
     if len(scored_events) == 0:
         raise ValueError("cannot evaluate an empty event set")
@@ -275,7 +286,7 @@ def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequ
         frame_true.extend([label] * scores.size)
         frame_scores.append(scores)
         event_true.append(label)
-        event_scores.append(float(scores.mean()))
+        event_scores.append(event_score(scores))
     frame_scores = np.concatenate(frame_scores)
 
     frame_pred = [decode(v, boundaries) for v in frame_scores]
@@ -309,16 +320,18 @@ def evaluate(checkpoint, events: Sequence[tuple[str, OrdinalLabel, Sequence[np.n
              boundaries: Optional[Boundaries] = None) -> EvalReport:
     """Score featurised events with a checkpoint and report both granularities.
 
-    ``events`` holds (event_id, true label, list of feature grids). The
-    checkpoint's stored boundaries are used unless an override is given.
+    ``events`` holds (event_id, true label, list of feature grids). All
+    frames are scored in one ``predict_many`` call, then split per event.
+    The checkpoint's stored boundaries are used unless an override is given.
     """
     from . import models  # deferred: models depends on this module
 
     b = boundaries if boundaries is not None else checkpoint.boundaries
     if b is None:
         raise ValueError("no boundaries: calibrate before evaluating")
-    scored = []
-    for event_id, label, grids in events:
-        scores = models.predict_many(checkpoint, list(grids))
-        scored.append((event_id, label, scores))
+    grids = [g for _, _, event_grids in events for g in event_grids]
+    ends = np.cumsum([len(event_grids) for _, _, event_grids in events])
+    per_event = np.split(models.predict_many(checkpoint, grids), ends[:-1])
+    scored = [(event_id, label, scores)
+              for (event_id, label, _), scores in zip(events, per_event)]
     return evaluate_scored_events(scored, b, checkpoint.dimension)

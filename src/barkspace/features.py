@@ -70,7 +70,8 @@ def stft_power(frame, cfg: FeatureConfig | None = None) -> np.ndarray:
     return (spec.real**2 + spec.imag**2).T
 
 
-def _mel_filterbank_cached(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
     fmax = cfg.fmax if cfg.fmax is not None else sample_rate_hz / 2.0
     if not (0 <= cfg.fmin < fmax <= sample_rate_hz / 2.0):
         raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
@@ -84,12 +85,7 @@ def _mel_filterbank_cached(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarra
     upper = edges_hz[2:, None]
     rising = (bin_hz[None, :] - lower) / (center - lower)
     falling = (upper - bin_hz[None, :]) / (upper - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
-
-
-@lru_cache(maxsize=16)
-def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
-    fb = _mel_filterbank_cached(sample_rate_hz, cfg)
+    fb = np.maximum(0.0, np.minimum(rising, falling))
     fb.setflags(write=False)
     return fb
 

@@ -22,6 +22,13 @@ position is cached as an int8 window index. ``backward(..., input_grad=
 False)`` skips the work that only the input gradient needs (the first conv
 layer's patch GEMM and col2im) and returns None for it; training uses this,
 since nothing reads the gradient of the features.
+
+``forward`` is batch-invariant: each item's output has the same bits at any
+batch size and position in the batch, so scoring may chunk a batch freely.
+Convolutions already run one GEMM per item through stacked ``matmul``, and
+pooling, relu and flatten are elementwise. A dense layer runs as one
+(1,K)x(K,N) product per row rather than one (B,K)x(K,N) GEMM, whose
+blocking, and so whose rounding, depends on B.
 """
 
 from dataclasses import dataclass, field
@@ -356,7 +363,8 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
             x = x.reshape(x.shape[0], -1)
         elif isinstance(layer, Dense):
             caches.append(x)
-            x = x @ params.layers[i]["w"].T + params.layers[i]["b"]
+            # one (1,K)x(K,N) product per row: a row's bits do not depend on B
+            x = np.matmul(x[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
     y = x if batched else x[0]
     return y, Tape(caches=caches, batched=batched, n_layers=len(spec.layers))
 
@@ -426,7 +434,10 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
     """One bias-corrected adaptive-moment update; mutates params and state.
 
-    Returns the (mutated) pair so call sites can stay functional in style.
+    Raises ValueError, naming the step, when a moment is not finite: a NaN or
+    infinite gradient, or one whose square overflows, would otherwise turn
+    the updates into NaN or silently into zero. Returns the (mutated) pair so
+    call sites can stay functional in style.
     """
     state.t += 1
     c1 = 1.0 - beta1**state.t
@@ -446,5 +457,9 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float,
             m += (1.0 - beta1) * g
             v *= beta2
             v += (1.0 - beta2) * (g * g)
+            # m carries any NaN/inf in g, v any overflow of g * g
+            if not (np.isfinite(m).all() and np.isfinite(v).all()):
+                raise ValueError(f"training diverged: the gradient or its moments for "
+                                 f"layer {i} {k} are not finite at Adam step {state.t}")
             entry[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return params, state

@@ -48,6 +48,11 @@ def frames_of_clip(clip, event_id: str,
     return frame_segment(seg, seg_cfg)
 
 
+def featurise(frames: Sequence[Frame], feat_cfg: FeatureConfig) -> list[np.ndarray]:
+    """Log-mel grid of each canonical-rate frame."""
+    return [log_mel(f, feat_cfg, CANONICAL_RATE_HZ) for f in frames]
+
+
 def load_event_features(entries: Sequence[ManifestEntry], base_dir,
                         seg_cfg: Optional[SegmentationConfig] = None,
                         feat_cfg: Optional[FeatureConfig] = None) -> list[EventData]:
@@ -61,8 +66,7 @@ def load_event_features(entries: Sequence[ManifestEntry], base_dir,
         if not wav_path.is_absolute():
             wav_path = base_dir / wav_path
         clip = read_wav(wav_path)
-        frames = frames_of_clip(clip, e.event_id, seg_cfg)
-        grids = [log_mel(f, feat_cfg, CANONICAL_RATE_HZ) for f in frames]
+        grids = featurise(frames_of_clip(clip, e.event_id, seg_cfg), feat_cfg)
         out.append(EventData(e.event_id, e.arousal, e.valence, e.split, grids))
     return out
 

@@ -5,6 +5,10 @@ scalar is only defined up to an additive constant, each axis is recentered
 by the model's own neutral point, the midpoint of its calibrated decode
 boundaries, so a perfectly neutral event lands at the origin. Quadrants
 follow the circumplex convention: excited, anxious, relaxed, despondent.
+
+Projection takes an event's feature grids, computed once by the caller and
+scored by both axes' checkpoints, which must therefore share one front end:
+the same feature config, segmentation config and sample rate.
 """
 
 import csv
@@ -15,11 +19,11 @@ from typing import Sequence
 
 from .evaluation import Boundaries
 from .models import Checkpoint, predict_event
-from .segmentation import Frame
 
 QUADRANTS = ("excited", "anxious", "relaxed", "despondent")
 
 _CSV_HEADER = ["event_id", "valence", "arousal", "quadrant", "n_frames"]
+_FRONT_END = ("feature_config", "segmentation_config", "sample_rate_hz")
 
 
 @dataclass
@@ -60,16 +64,31 @@ def _require(ckpt: Checkpoint, dimension: str) -> Boundaries:
     return ckpt.boundaries
 
 
-def project_event(arousal_ckpt: Checkpoint, valence_ckpt: Checkpoint,
-                  frames: Sequence[Frame]) -> EmotionPoint:
-    """Project one event's frames onto the emotion plane."""
+def check_pair(arousal_ckpt: Checkpoint,
+               valence_ckpt: Checkpoint) -> tuple[Boundaries, Boundaries]:
+    """Both axes' boundaries, once the two checkpoints are fit to share grids.
+
+    Each must carry its own axis tag and calibrated boundaries, and both the
+    same front end, since one set of grids per event feeds both.
+    """
     ab = _require(arousal_ckpt, "arousal")
     vb = _require(valence_ckpt, "valence")
-    if len(frames) == 0:
+    for name in _FRONT_END:
+        a, v = getattr(arousal_ckpt, name), getattr(valence_ckpt, name)
+        if a != v:
+            raise ValueError(f"arousal and valence checkpoints differ in {name}: {a} vs {v}")
+    return ab, vb
+
+
+def project_event(arousal_ckpt: Checkpoint, valence_ckpt: Checkpoint, event_id: str,
+                  features: Sequence) -> EmotionPoint:
+    """Project one event, given its feature grids, onto the emotion plane."""
+    ab, vb = check_pair(arousal_ckpt, valence_ckpt)
+    if len(features) == 0:
         raise ValueError("cannot project an event with no frames")
-    a_score = predict_event(arousal_ckpt, frames)
-    v_score = predict_event(valence_ckpt, frames)
-    return project_scores(frames[0].event_id, a_score, v_score, ab, vb, len(frames))
+    a_score = predict_event(arousal_ckpt, features)
+    v_score = predict_event(valence_ckpt, features)
+    return project_scores(event_id, a_score, v_score, ab, vb, len(features))
 
 
 def export_points(points: Sequence[EmotionPoint], path, fmt: str = "csv") -> None:

@@ -4,12 +4,15 @@ import shutil
 import numpy as np
 import pytest
 
+from barkspace import evaluation
 from barkspace.audio_io import AudioClip, read_wav, write_wav
 from barkspace.cli import main
 from barkspace.corpus import load_manifest
-from barkspace.evaluation import EvalReport
-from barkspace.models import CHECKPOINT_MAGIC, _pack_container, load_checkpoint
-from barkspace.projection import load_points
+from barkspace.evaluation import EvalReport, event_score
+from barkspace.features import FeatureConfig
+from barkspace.models import (CHECKPOINT_MAGIC, _pack_container, load_checkpoint,
+                              save_checkpoint)
+from barkspace.projection import load_points, neutral_point
 
 SR = 22050
 
@@ -115,6 +118,20 @@ def test_diverged_training_is_data_error_and_saves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
+def test_exploding_training_is_data_error_and_saves_nothing(tmp_path, capsys):
+    # at lr 1e3 the loss stays finite (about 3e35) while Adam's second moment
+    # overflows and the updates stop; that run must not pass for a model
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", "5", "--n-events", "18", "--out", str(corpus)) == 0
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--manifest", str(corpus / "manifest.csv"), "--dim", "arousal",
+               "--model", "baseline", "--epochs", "3", "--lr", "1e3", "--out", str(out))
+    assert code == 2
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     assert run("train", "--manifest", str(tmp_path / "none.csv"), "--dim", "arousal",
                "--model", "baseline", "--out", str(tmp_path / "x.ckpt")) == 2
@@ -166,6 +183,46 @@ def test_eval_checkpoint_without_metadata_is_data_error(split_manifest, tmp_path
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_eval_misshapen_tensor_is_data_error_before_featurising(checkpoints, tmp_path,
+                                                               capsys):
+    ckpt = load_checkpoint(checkpoints["arousal"])
+    ckpt.params.layers[7]["w"] = np.zeros((64, 10), np.float32)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    # no manifest exists: only a check made before featurising can name the tensor
+    code = run("eval", "--model", str(bad), "--manifest", str(tmp_path / "none.csv"),
+               "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    assert "layer7.weight" in capsys.readouterr().err
+
+
+def test_eval_and_project_give_bit_equal_event_scores(checkpoints, corpus_dir, tmp_path,
+                                                      monkeypatch):
+    scored = {}
+    inner = evaluation.evaluate_scored_events
+
+    def capture(scored_events, boundaries, dimension, *args):
+        scored[dimension] = {ev: event_score(s) for ev, _, s in scored_events}
+        return inner(scored_events, boundaries, dimension, *args)
+
+    monkeypatch.setattr(evaluation, "evaluate_scored_events", capture)
+    manifest = corpus_dir / "manifest.csv"  # unsplit, so eval covers every event
+    for dim, path in checkpoints.items():
+        assert run("eval", "--model", str(path), "--manifest", str(manifest),
+                   "--report", str(tmp_path / f"{dim}.json")) == 0
+    out = tmp_path / "points.json"  # JSON keeps every bit of the coordinates
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(checkpoints["valence"]), "--in", str(manifest),
+               "--out", str(out), "--format", "json") == 0
+    neutral = {dim: neutral_point(load_checkpoint(path).boundaries)
+               for dim, path in checkpoints.items()}
+    points = load_points(out, fmt="json")
+    assert len(points) == len(scored["arousal"]) == len(scored["valence"]) == 12
+    for p in points:
+        assert p.arousal == scored["arousal"][p.event_id] - neutral["arousal"], p.event_id
+        assert p.valence == scored["valence"][p.event_id] - neutral["valence"], p.event_id
+
+
 def test_project_manifest_roundtrip(checkpoints, corpus_dir, tmp_path):
     out = tmp_path / "points.csv"
     hist = tmp_path / "hist.json"
@@ -196,6 +253,20 @@ def test_project_swapped_models_is_data_error(checkpoints, corpus_dir, tmp_path)
                "--valence-model", str(checkpoints["arousal"]),
                "--in", str(corpus_dir / "manifest.csv"),
                "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_project_mismatched_feature_configs_is_data_error(checkpoints, corpus_dir,
+                                                          tmp_path, capsys):
+    ckpt = load_checkpoint(checkpoints["valence"])
+    ckpt.feature_config = FeatureConfig(db_floor=-60.0)
+    other = tmp_path / "valence.ckpt"
+    save_checkpoint(ckpt, other)
+    out = tmp_path / "x.csv"
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(other), "--in", str(corpus_dir / "manifest.csv"),
+               "--out", str(out)) == 2
+    assert "feature_config" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_segment_two_bursts(tmp_path):

@@ -3,12 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from barkspace import neuralnet as nn
 from barkspace.evaluation import (Boundaries, ConfusionMatrix, EvalReport,
                                   UndefinedMetricError, accuracy,
-                                  calibrate_boundaries, decode,
+                                  calibrate_boundaries, decode, evaluate,
                                   evaluate_scored_events, event_level_split,
-                                  tap)
+                                  event_score, tap)
+from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
+from barkspace.models import Checkpoint, predict_many
+from barkspace.segmentation import SegmentationConfig
 
 H, M, L = OrdinalLabel.HIGH, OrdinalLabel.MEDIUM, OrdinalLabel.LOW
 
@@ -234,3 +238,28 @@ def test_report_json_roundtrip():
 def test_evaluate_rejects_empty():
     with pytest.raises(ValueError):
         evaluate_scored_events([], Boundaries(0, 0), "arousal")
+
+
+def test_event_score_is_an_order_free_mean():
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=37) * 1e3
+    s = event_score(scores)
+    assert s == event_score(scores[::-1]) == event_score(rng.permutation(scores))
+    assert s == pytest.approx(scores.mean())
+    assert event_score([2.5]) == 2.5
+    with pytest.raises(ValueError):
+        event_score([])
+
+
+def test_evaluate_scores_like_predict_many_per_event():
+    """One batch over all events, split per event, equals scoring each alone."""
+    spec = nn.NetSpec((1, 6, 5), (nn.Conv2d(2, 3, 3), nn.Relu(), nn.Flatten(),
+                                  nn.Dense(4), nn.Relu(), nn.Dense(1)))
+    ckpt = Checkpoint("arousal", 0, spec, nn.init_params(spec, 0, dtype=np.float32),
+                      FeatureConfig(), SegmentationConfig(), 22050, Boundaries(-0.1, 0.1))
+    rng = np.random.default_rng(6)
+    events = [(f"e{i}", lab, [rng.uniform(0, 1, size=(6, 5)) for _ in range(n)])
+              for i, (lab, n) in enumerate(zip([L, M, H, L, H], [1, 17, 3, 40, 2]))]
+    alone = [(ev, lab, predict_many(ckpt, grids)) for ev, lab, grids in events]
+    assert (evaluate(ckpt, events).to_dict()
+            == evaluate_scored_events(alone, ckpt.boundaries, "arousal").to_dict())

@@ -8,11 +8,11 @@ from barkspace import neuralnet as nn
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
-from barkspace.models import (CHECKPOINT_MAGIC, Checkpoint, CheckpointError,
+from barkspace.models import (CHECKPOINT_MAGIC, SCORE_CHUNK, Checkpoint, CheckpointError,
                               TrainConfig, _pack_container, load_checkpoint, make_pairs, predict_event,
-                              predict_many, predict_scalar, save_checkpoint,
+                              predict_many, save_checkpoint,
                               siamese_forward, train_baseline, train_siamese)
-from barkspace.segmentation import Frame, SegmentationConfig
+from barkspace.segmentation import SegmentationConfig
 
 TOY_SHAPE = (1, 16, 9)
 TOY_SPEC = nn.NetSpec(TOY_SHAPE, (nn.Conv2d(4, 3, 3), nn.Relu(), nn.MaxPool2x2(),
@@ -107,7 +107,7 @@ def test_siamese_equals_scalar_difference():
     xa = rng.uniform(0, 1, size=TOY_SHAPE[1:])
     xb = rng.uniform(0, 1, size=TOY_SHAPE[1:])
     lhs = siamese_forward(ckpt.net_spec, ckpt.params, xa, xb)
-    rhs = predict_scalar(ckpt, xa) - predict_scalar(ckpt, xb)
+    rhs = predict_many(ckpt, [xa])[0] - predict_many(ckpt, [xb])[0]
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -174,16 +174,14 @@ def full_checkpoint(seed=3, dimension="arousal"):
 def test_predict_event_mean_and_permutation():
     ckpt = full_checkpoint(seed=3)
     rng = np.random.default_rng(2)
-    frames = [Frame("ev", i, rng.uniform(-0.5, 0.5, size=5120)) for i in range(4)]
-    score = predict_event(ckpt, frames)
-    assert predict_event(ckpt, frames[::-1]) == score
-    assert predict_event(ckpt, frames[:1]) == pytest.approx(
-        predict_event(ckpt, frames[:1]))
-    single = predict_event(ckpt, [frames[0]])
-    per_frame = [predict_event(ckpt, [f]) for f in frames]
-    # batched vs single float32 GEMMs round differently; mean agrees loosely
-    assert score == pytest.approx(np.mean(per_frame), abs=1e-5)
-    assert single == per_frame[0]
+    grids = [rng.uniform(0, 1, size=(64, 37)) for _ in range(SCORE_CHUNK + 4)]
+    score = predict_event(ckpt, grids)
+    assert predict_event(ckpt, grids[::-1]) == score
+    per_frame = [predict_event(ckpt, [g]) for g in grids]
+    # scoring is batch-invariant: a frame scores the same bits alone and
+    # inside a multi-chunk batch, and the event score is their sorted mean
+    assert np.array_equal(predict_many(ckpt, grids), per_frame)
+    assert score == float(np.sort(per_frame).mean())
 
 
 def test_siamese_loss_gradient_sums_both_branches():
@@ -227,9 +225,28 @@ def test_predict_event_input_validation():
     ckpt = full_checkpoint()
     with pytest.raises(ValueError):
         predict_event(ckpt, [])
-    frames = [Frame("a", 0, np.zeros(5120)), Frame("b", 0, np.zeros(5120))]
-    with pytest.raises(ValueError, match="multiple events"):
-        predict_event(ckpt, frames)
+    with pytest.raises(ValueError, match="does not match"):
+        predict_event(ckpt, [np.zeros((64, 36))])
+
+
+def test_predict_many_is_exact_under_chunking():
+    ckpt = toy_checkpoint(seed=4)
+    rng = np.random.default_rng(8)
+    grids = [rng.uniform(0, 1, size=TOY_SHAPE[1:]) for _ in range(3 * SCORE_CHUNK + 5)]
+    scores = predict_many(ckpt, grids)
+    assert scores.dtype == np.float64 and scores.shape == (len(grids),)
+    for lo, hi in ((0, 1), (3, 40), (SCORE_CHUNK - 1, SCORE_CHUNK + 1), (7, len(grids))):
+        assert np.array_equal(predict_many(ckpt, grids[lo:hi]), scores[lo:hi])
+    assert predict_many(ckpt, []).shape == (0,)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
+@pytest.mark.parametrize("trainer", [train_baseline, train_siamese])
+def test_diverging_training_raises(trainer):
+    cfg = TrainConfig(dimension="arousal", epochs=5, batch_size=4,
+                      learning_rate=1e4, seed=0, pairs_per_epoch=40)
+    with pytest.raises(ValueError, match="diverged.*step"):
+        trainer(toy_set(4, seed=3), cfg, net_spec=TOY_SPEC)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -322,6 +339,26 @@ def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, name", [
+    pytest.param(lambda t: t.update({"layer4.weight": np.zeros((8, 10), np.float32)}),
+                 "layer4.weight", id="dense-weight-shape"),
+    pytest.param(lambda t: t.update({"layer0.bias": np.zeros(5, np.float32)}),
+                 "layer0.bias", id="conv-bias-shape"),
+    pytest.param(lambda t: t.update({"layer2.weight": np.zeros(3, np.float32)}),
+                 "layer2.weight", id="unknown-tensor"),
+    pytest.param(lambda t: t.pop("layer6.bias"), "layer6.bias", id="missing-tensor"),
+])
+def test_checkpoint_tensors_must_fit_the_spec(tmp_path, edit, name):
+    ckpt = toy_checkpoint()
+    meta = _saved_meta(tmp_path, ckpt)
+    tensors = dict(ckpt.params.tensors())
+    edit(tensors)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
+    with pytest.raises(CheckpointError, match=name):
         load_checkpoint(path)
 
 

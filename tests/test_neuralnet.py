@@ -197,6 +197,37 @@ def test_adam_shape_mismatch_rejected():
         nn.adam_step(p, bad, state, lr=0.1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # g * g overflows
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e30], ids=["nan", "inf", "square-overflows"])
+def test_adam_rejects_non_finite_moments(bad):
+    p = nn.init_params(TINY, 0, dtype=np.float32)
+    state = nn.init_adam(p)
+    grads = [None if e is None else {k: np.zeros_like(a) for k, a in e.items()}
+             for e in p.layers]
+    nn.adam_step(p, grads, state, lr=0.1)
+    grads[3]["w"][0, 5] = bad
+    with pytest.raises(ValueError, match="layer 3 w .*Adam step 2"):
+        nn.adam_step(p, grads, state, lr=0.1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_is_batch_invariant(dtype):
+    """A batch's output is bit-equal to the concatenated outputs of any split."""
+    spec = nn.default_net_spec()
+    params = nn.init_params(spec, 5, dtype=dtype)
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        b = int(rng.integers(2, 80))
+        x = rng.uniform(0, 1, size=(b, *spec.input_shape)).astype(dtype)
+        whole, _ = nn.forward(spec, params, x)
+        n_cuts = int(rng.integers(1, min(4, b - 1) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, b), size=n_cuts, replace=False))
+        parts = [nn.forward(spec, params, part)[0] for part in np.split(x, cuts)]
+        assert np.array_equal(whole, np.concatenate(parts)), (b, cuts)
+        k = int(rng.integers(0, b))
+        assert np.array_equal(whole[k], nn.forward(spec, params, x[k])[0])
+
+
 def naive_pool(x, d):
     """Per-window loop oracle: the first maximum in tl, tr, bl, br order wins
     the window and takes its gradient; odd last rows/columns are dropped."""

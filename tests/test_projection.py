@@ -8,7 +8,7 @@ from barkspace.models import Checkpoint, predict_event
 from barkspace.projection import (EmotionPoint, export_points, load_points,
                                   neutral_point, project_event, project_scores,
                                   quadrant_of)
-from barkspace.segmentation import Frame, SegmentationConfig
+from barkspace.segmentation import SegmentationConfig
 
 
 def test_quadrant_rule():
@@ -47,9 +47,9 @@ def test_project_scores_matches_spec_quadrants():
     assert project_scores("b", 0.8, -0.6, ab, vb, 1).quadrant == "anxious"
 
 
-def frames_for(event_id, n=2, seed=0):
+def grids_for(n=2, seed=0):
     rng = np.random.default_rng(seed)
-    return [Frame(event_id, i, rng.uniform(-0.5, 0.5, size=5120)) for i in range(n)]
+    return [rng.uniform(0, 1, size=(64, 37)) for _ in range(n)]
 
 
 def make_ckpt(dimension, seed, boundaries):
@@ -65,15 +65,15 @@ def make_ckpt(dimension, seed, boundaries):
 def test_project_event_end_to_end():
     a_ckpt = make_ckpt("arousal", 1, Boundaries(-0.3, 0.5))
     v_ckpt = make_ckpt("valence", 2, Boundaries(-0.1, 0.1))
-    frames = frames_for("ev7", n=3)
-    p = project_event(a_ckpt, v_ckpt, frames)
+    grids = grids_for(n=3)
+    p = project_event(a_ckpt, v_ckpt, "ev7", grids)
     assert p.event_id == "ev7"
     assert p.n_frames == 3
-    assert p.arousal == predict_event(a_ckpt, frames) - neutral_point(a_ckpt.boundaries)
-    assert p.valence == predict_event(v_ckpt, frames) - neutral_point(v_ckpt.boundaries)
+    assert p.arousal == predict_event(a_ckpt, grids) - neutral_point(a_ckpt.boundaries)
+    assert p.valence == predict_event(v_ckpt, grids) - neutral_point(v_ckpt.boundaries)
     assert p.quadrant == quadrant_of(p.valence, p.arousal)
     # frame order cannot matter
-    q = project_event(a_ckpt, v_ckpt, frames[::-1])
+    q = project_event(a_ckpt, v_ckpt, "ev7", grids[::-1])
     assert (q.valence, q.arousal, q.quadrant) == (p.valence, p.arousal, p.quadrant)
 
 
@@ -81,12 +81,26 @@ def test_project_event_validation():
     a_ckpt = make_ckpt("arousal", 1, Boundaries(0, 0))
     v_ckpt = make_ckpt("valence", 2, Boundaries(0, 0))
     with pytest.raises(ValueError, match="tagged"):
-        project_event(v_ckpt, a_ckpt, frames_for("x"))
+        project_event(v_ckpt, a_ckpt, "x", grids_for())
     with pytest.raises(ValueError, match="no frames"):
-        project_event(a_ckpt, v_ckpt, [])
+        project_event(a_ckpt, v_ckpt, "x", [])
     bare = make_ckpt("arousal", 1, None)
     with pytest.raises(ValueError, match="boundaries"):
-        project_event(bare, v_ckpt, frames_for("x"))
+        project_event(bare, v_ckpt, "x", grids_for())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("feature_config", FeatureConfig(db_floor=-60.0)),
+    ("segmentation_config", SegmentationConfig(top_db=25.0)),
+    ("sample_rate_hz", 16000),
+])
+def test_project_event_needs_one_front_end(field, value):
+    """Both axes score the same grids, so their front ends must agree."""
+    a_ckpt = make_ckpt("arousal", 1, Boundaries(0, 0))
+    v_ckpt = make_ckpt("valence", 2, Boundaries(0, 0))
+    setattr(v_ckpt, field, value)
+    with pytest.raises(ValueError, match=field):
+        project_event(a_ckpt, v_ckpt, "x", grids_for())
 
 
 def sample_points():
