@@ -19,6 +19,11 @@ CANONICAL_RATE_HZ = 22050
 
 PCM16_SCALE = 32768.0
 
+# Header rates outside this range are refused: resampling from them either
+# designs an absurdly long filter or multiplies the length by thousands.
+MIN_RATE_HZ = 1_000
+MAX_RATE_HZ = 384_000
+
 
 class WavFormatError(Exception):
     """Malformed or truncated RIFF/WAVE container."""
@@ -52,25 +57,30 @@ def read_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM16 file to a mono AudioClip.
 
     Samples are scaled by 1/32768 into [-1, 1); stereo is collapsed to mono
-    by the per-sample arithmetic mean of the two channels.
+    by the per-sample arithmetic mean of the two channels. Both are exact:
+    mono is ``x * 2**-15`` and stereo ``(l + r) * 2**-16`` in float64, where
+    int16 sums and power-of-two scales never round, so the result has the
+    bits of ``mean(axis=1) / 32768``.
 
     Raises:
         FileNotFoundError: missing file.
         WavFormatError: not a RIFF/WAVE container, or truncated chunks.
         UnsupportedWavError: non-PCM encoding, bit depth other than 16,
-            or more than two channels.
+            more than two channels, or a sample rate outside
+            [MIN_RATE_HZ, MAX_RATE_HZ].
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(raw)  # chunk bodies are views, not copies
     fmt = None
     data = None
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
@@ -93,13 +103,21 @@ def read_wav(path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: unsupported channel count {channels}")
     if sample_rate <= 0:
         raise WavFormatError(f"{path}: invalid sample rate {sample_rate}")
+    if not MIN_RATE_HZ <= sample_rate <= MAX_RATE_HZ:
+        raise UnsupportedWavError(f"{path}: sample rate {sample_rate} Hz is outside "
+                                  f"{MIN_RATE_HZ}-{MAX_RATE_HZ} Hz")
     if len(data) % (2 * channels):
         raise WavFormatError(f"{path}: data chunk is not a whole number of frames")
 
-    ints = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    ints = np.frombuffer(data, dtype="<i2")
     if channels == 2:
-        ints = ints.reshape(-1, 2).mean(axis=1)
-    samples = np.clip(ints / PCM16_SCALE, -1.0, 1.0)
+        samples = ints[0::2].astype(np.float64)
+        samples += ints[1::2]
+        samples *= 0.5 / PCM16_SCALE
+    else:
+        samples = ints.astype(np.float64)
+        samples *= 1.0 / PCM16_SCALE
+    np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(samples, sample_rate)
 
 

@@ -238,18 +238,22 @@ def cmd_project(args) -> int:
               for event_id, grids in events]
     projection.export_points(points, args.out, fmt=args.format)
     if args.hist:
-        _write_projection_histograms(args.hist, labeled, arousal_ckpt, valence_ckpt)
+        _write_projection_histograms(args.hist, labeled, points)
     if args.verbose:
         print(f"projected {len(points)} event(s) to {args.out}")
     return 0
 
 
-def _write_projection_histograms(path, events, arousal_ckpt, valence_ckpt,
-                                 n_bins: int = 50):
-    """Per-class histograms of raw event scores for each dimension."""
+def _write_projection_histograms(path, events, points, n_bins: int = 50):
+    """Per-class histograms of raw event scores for each dimension.
+
+    The scores are the ones ``project_event`` computed for ``points``, which
+    hold one point per event, in order.
+    """
     out = {}
-    for dim, ckpt in (("arousal", arousal_ckpt), ("valence", valence_ckpt)):
-        scores = np.asarray([models.predict_event(ckpt, ev.features) for ev in events])
+    for dim, raw in (("arousal", [p.arousal_score for p in points]),
+                     ("valence", [p.valence_score for p in points])):
+        scores = np.asarray(raw)
         names = [ev.label(dim).name.lower() for ev in events]
         edges = np.histogram_bin_edges(scores, bins=n_bins)
         out[dim] = {

@@ -59,15 +59,27 @@ def stft_power(frame, cfg: FeatureConfig | None = None) -> np.ndarray:
     """
     cfg = cfg or FeatureConfig()
     x = _frame_samples(frame)
+    if x.ndim != 1:
+        raise ValueError(f"frame must be one-dimensional, got shape {x.shape}")
     n = len(x)
     if n < cfg.n_fft:
         raise ValueError(f"frame of {n} samples is shorter than n_fft={cfg.n_fft}")
 
-    # periodic Hann, the analysis variant
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
-    cols = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
-    spec = np.fft.rfft(cols * w, axis=1)
+    # one read-only view of the hop-strided frames; row i is x[i*hop : i*hop+n_fft]
+    (step,) = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x, shape=((n - cfg.n_fft) // cfg.hop + 1, cfg.n_fft),
+        strides=(cfg.hop * step, step), writeable=False)
+    spec = np.fft.rfft(cols * _hann_memo(cfg.n_fft), axis=1)
     return (spec.real**2 + spec.imag**2).T
+
+
+@lru_cache(maxsize=16)
+def _hann_memo(n_fft: int) -> np.ndarray:
+    """Periodic Hann window, the analysis variant, memoized and read-only."""
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n_fft) / n_fft)
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=16)

@@ -367,7 +367,10 @@ def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
     (meta_len,) = struct.unpack_from("<I", blob, 4)
     if 8 + meta_len > len(blob) - 4:
         raise CheckpointError(f"{path}: truncated metadata")
-    meta = json.loads(blob[8 : 8 + meta_len].decode("utf-8"))
+    try:
+        meta = json.loads(blob[8 : 8 + meta_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
+        raise CheckpointError(f"{path}: metadata is not UTF-8 JSON: {exc}") from exc
 
     tensors = {}
     pos = 8 + meta_len
@@ -385,8 +388,12 @@ def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
             count = int(np.prod(shape)) if rank else 1
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
             pos += 4 * count
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from exc
         except (struct.error, ValueError) as exc:
             raise CheckpointError(f"{path}: truncated tensor block") from exc
+        if name in tensors:
+            raise CheckpointError(f"{path}: repeated tensor {name!r}")
         tensors[name] = arr.astype(np.float32)
     return meta, tensors
 

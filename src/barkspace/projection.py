@@ -15,7 +15,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .evaluation import Boundaries
 from .models import Checkpoint, predict_event
@@ -28,11 +28,20 @@ _FRONT_END = ("feature_config", "segmentation_config", "sample_rate_hz")
 
 @dataclass
 class EmotionPoint:
+    """Recentered coordinates of one event.
+
+    ``valence_score``/``arousal_score`` are the raw event scores before
+    recentering (adding the neutral point back would not restore their
+    bits); they are None for points read back from a file.
+    """
+
     event_id: str
     valence: float
     arousal: float
     quadrant: str
     n_frames: int
+    valence_score: Optional[float] = None
+    arousal_score: Optional[float] = None
 
 
 def neutral_point(b: Boundaries) -> float:
@@ -53,7 +62,8 @@ def project_scores(event_id: str, arousal_score: float, valence_score: float,
     """Recenter raw axis scores by their neutral points and assign a quadrant."""
     a = arousal_score - neutral_point(arousal_bounds)
     v = valence_score - neutral_point(valence_bounds)
-    return EmotionPoint(event_id, v, a, quadrant_of(v, a), n_frames)
+    return EmotionPoint(event_id, v, a, quadrant_of(v, a), n_frames,
+                        valence_score=valence_score, arousal_score=arousal_score)
 
 
 def _require(ckpt: Checkpoint, dimension: str) -> Boundaries:

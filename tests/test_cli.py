@@ -1,10 +1,11 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from barkspace import evaluation
+from barkspace import cli, evaluation, models, pipeline, projection
 from barkspace.audio_io import AudioClip, read_wav, write_wav
 from barkspace.cli import main
 from barkspace.corpus import load_manifest
@@ -239,6 +240,39 @@ def test_project_manifest_roundtrip(checkpoints, corpus_dir, tmp_path):
         assert sum(sum(v) for v in hists[dim]["histograms"].values()) == 12
 
 
+def test_project_hist_scores_each_event_once(checkpoints, corpus_dir, tmp_path,
+                                             monkeypatch):
+    """--hist reuses the projection's raw event scores, bit for bit."""
+    calls = []
+    real = models.predict_event
+
+    def counted(ckpt, features):
+        calls.append(ckpt.dimension)
+        return real(ckpt, features)
+
+    monkeypatch.setattr(projection, "predict_event", counted)
+    monkeypatch.setattr(models, "predict_event", counted)
+    hist = tmp_path / "hist.json"
+    manifest = corpus_dir / "manifest.csv"
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(checkpoints["valence"]), "--in", str(manifest),
+               "--out", str(tmp_path / "p.csv"), "--hist", str(hist)) == 0
+    assert sorted(calls) == ["arousal"] * 12 + ["valence"] * 12
+
+    hists = json.loads(hist.read_text())
+    for dim, path in checkpoints.items():
+        ckpt = load_checkpoint(path)
+        events = pipeline.load_event_features(load_manifest(manifest), corpus_dir,
+                                              ckpt.segmentation_config, ckpt.feature_config)
+        scores = np.asarray([real(ckpt, ev.features) for ev in events])
+        edges = np.histogram_bin_edges(scores, bins=50)
+        assert hists[dim]["bin_edges"] == edges.tolist(), dim
+        for key in ("low", "medium", "high"):
+            chosen = [ev.label(dim).name.lower() == key for ev in events]
+            expect = np.histogram(scores[chosen], bins=edges)[0].tolist()
+            assert hists[dim]["histograms"][key] == expect, (dim, key)
+
+
 def test_project_json_format(checkpoints, corpus_dir, tmp_path):
     out = tmp_path / "points.json"
     assert run("project", "--arousal-model", str(checkpoints["arousal"]),
@@ -301,6 +335,28 @@ def test_segment_empty_dir_gives_empty_index(tmp_path):
 def test_segment_missing_input_is_data_error(tmp_path):
     assert run("segment", "--in", str(tmp_path / "none.wav"),
                "--out", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("rate", [999, 4_294_967_291])
+def test_segment_unsupported_sample_rate_is_data_error_without_resampling(
+        tmp_path, monkeypatch, capsys, rate):
+    """A rate outside 1-384 kHz stops at decode; resample never sees it."""
+    resampled = []
+
+    def refuse(clip, target_hz):
+        resampled.append(clip.sample_rate_hz)
+        raise RuntimeError("resample must not run")
+
+    monkeypatch.setattr(cli, "resample", refuse)
+    data = np.zeros(64, "<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 2, rate, (rate * 4) % 2**32, 4, 16)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt
+    body += b"data" + struct.pack("<I", len(data)) + data
+    wav = tmp_path / "rec.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert run("segment", "--in", str(wav), "--out", str(tmp_path / "o")) == 2
+    assert resampled == []
+    assert "sample rate" in capsys.readouterr().err
 
 
 def test_featurize_binary_and_csv(corpus_dir, tmp_path):

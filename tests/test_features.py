@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from barkspace.features import (FeatureConfig, hz_to_mel, log_mel,
+from barkspace.features import (FeatureConfig, _hann_memo, hz_to_mel, log_mel,
                                 mel_center_frequencies, mel_filterbank,
                                 stft_power)
+from barkspace.segmentation import Frame
 
 SR = 22050
 CFG = FeatureConfig()
@@ -119,3 +120,55 @@ def test_log_mel_n_time_follows_hop():
     cfg = FeatureConfig(n_fft=512, hop=256)
     m = log_mel(sine_frame(500.0), cfg, SR)
     assert m.shape == (64, (5120 - 512) // 256 + 1)
+
+
+def reference_log_mel(x, cfg, sample_rate_hz):
+    """The front end as first written: fresh window, sliding_window_view framing."""
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.n_fft) / cfg.n_fft)
+    cols = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
+    spec = np.fft.rfft(cols * w, axis=1)
+    power = (spec.real**2 + spec.imag**2).T
+    mel_power = mel_filterbank(sample_rate_hz, cfg) @ power
+    peak = mel_power.max()
+    if peak <= 0.0:
+        return np.zeros_like(mel_power)
+    db = 10.0 * np.log10(np.maximum(mel_power / peak, 1e-10))
+    return (np.maximum(db, cfg.db_floor) - cfg.db_floor) / -cfg.db_floor
+
+
+def oracle_frames():
+    rng = np.random.default_rng(21)
+    yield "zeros", np.zeros(5120)
+    for i in range(4):
+        yield f"noise{i}", rng.uniform(-1.0, 1.0, 5120) * rng.uniform(1e-4, 1.0)
+    yield "tone+noise", sine_frame(1234.5, amp=0.3) + 1e-3 * rng.standard_normal(5120)
+    yield "long", rng.standard_normal(7777)
+    yield "n_fft-exact", rng.standard_normal(512)
+    yield "strided", rng.standard_normal(2 * 5120)[::2]  # non-contiguous input
+
+
+@pytest.mark.parametrize("cfg", [CFG, FeatureConfig(n_fft=256, hop=64),
+                                 FeatureConfig(n_fft=512, hop=500, n_mels=40, fmin=50.0,
+                                               fmax=9000.0, db_floor=-60.0)],
+                         ids=["default", "nfft256-hop64", "odd-hop"])
+def test_log_mel_is_bit_equal_to_reference(cfg):
+    for name, x in oracle_frames():
+        ours = log_mel(x, cfg, SR)
+        ref = reference_log_mel(x, cfg, SR)
+        assert ours.shape == ref.shape, name
+        assert ours.tobytes() == ref.tobytes(), name
+    # the Frame wrapper and a list input take the same path
+    x = dict(oracle_frames())["noise0"]
+    assert log_mel(Frame("e", 0, x), cfg, SR).tobytes() == log_mel(list(x), cfg, SR).tobytes()
+
+
+def test_hann_window_memoized_read_only_and_periodic():
+    w = _hann_memo(512)
+    assert _hann_memo(512) is w
+    assert not w.flags.writeable
+    assert w[0] == 0.0 and w[256] == 1.0  # periodic: the peak sits at n_fft/2
+
+
+def test_stft_rejects_multichannel_frame():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        stft_power(np.zeros((2, 5120)), CFG)

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -8,8 +10,9 @@ from barkspace import neuralnet as nn
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
-from barkspace.models import (CHECKPOINT_MAGIC, SCORE_CHUNK, Checkpoint, CheckpointError,
-                              TrainConfig, _pack_container, load_checkpoint, make_pairs, predict_event,
+from barkspace.models import (CHECKPOINT_MAGIC, SCORE_CHUNK, TENSOR_FILE_MAGIC, Checkpoint,
+                              CheckpointError, TrainConfig, _pack_container, load_checkpoint,
+                              load_tensor_file, make_pairs, predict_event,
                               predict_many, save_checkpoint,
                               siamese_forward, train_baseline, train_siamese)
 from barkspace.segmentation import SegmentationConfig
@@ -367,3 +370,54 @@ def test_checkpoint_metadata_not_an_object(tmp_path):
     path.write_bytes(_pack_container(CHECKPOINT_MAGIC, [1], []))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _raw_container(magic: bytes, meta_bytes: bytes, blocks: bytes = b"") -> bytes:
+    """A container with a valid CRC around arbitrary metadata bytes and blocks."""
+    blob = magic + struct.pack("<I", len(meta_bytes)) + meta_bytes + blocks
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+def _block(name: str, arr: np.ndarray) -> bytes:
+    a = np.ascontiguousarray(arr, dtype="<f4")
+    return (struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", a.ndim)
+            + struct.pack(f"<{a.ndim}I", *a.shape) + a.tobytes())
+
+
+@pytest.mark.parametrize("magic, load", [(CHECKPOINT_MAGIC, load_checkpoint),
+                                         (TENSOR_FILE_MAGIC, load_tensor_file)],
+                         ids=["BDN1", "BDF1"])
+@pytest.mark.parametrize("meta_bytes", [b"{not json", b"\xff\xfe", b"[" * 100_000],
+                         ids=["not-json", "not-utf8", "too-deep"])
+def test_container_metadata_not_utf8_json_is_checkpoint_error(tmp_path, magic, load,
+                                                              meta_bytes):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_raw_container(magic, meta_bytes))
+    with pytest.raises(CheckpointError, match="metadata"):
+        load(path)
+
+
+@pytest.mark.parametrize("magic, load", [(CHECKPOINT_MAGIC, load_checkpoint),
+                                         (TENSOR_FILE_MAGIC, load_tensor_file)],
+                         ids=["BDN1", "BDF1"])
+@pytest.mark.parametrize("blocks, message", [
+    (_block("t", np.zeros(2)) + _block("t", np.ones(3)), "repeated tensor 't'"),
+    (_block("t", np.zeros(2)).replace(b"t", b"\xff", 1), "tensor name is not UTF-8"),
+], ids=["repeated-name", "name-not-utf8"])
+def test_container_bad_tensor_name_is_checkpoint_error(tmp_path, magic, load, blocks,
+                                                       message):
+    meta = json.dumps({"version": 1, "kind": "tensors"}).encode()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_raw_container(magic, meta, blocks))
+    with pytest.raises(CheckpointError, match=message):
+        load(path)
+
+
+def test_tensor_file_reads_back_what_the_raw_layout_holds(tmp_path):
+    """The hand-built layout above is the one save_tensor_file writes."""
+    path = tmp_path / "ok.bin"
+    path.write_bytes(_raw_container(TENSOR_FILE_MAGIC, b'{"version":1}',
+                                    _block("a", np.arange(6.0).reshape(2, 3))))
+    meta, tensors = load_tensor_file(path)
+    assert meta == {"version": 1}
+    assert np.array_equal(tensors["a"], np.arange(6.0).reshape(2, 3))

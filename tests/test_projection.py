@@ -71,6 +71,9 @@ def test_project_event_end_to_end():
     assert p.n_frames == 3
     assert p.arousal == predict_event(a_ckpt, grids) - neutral_point(a_ckpt.boundaries)
     assert p.valence == predict_event(v_ckpt, grids) - neutral_point(v_ckpt.boundaries)
+    # the raw scores ride along, unrounded by the recentering
+    assert p.arousal_score == predict_event(a_ckpt, grids)
+    assert p.valence_score == predict_event(v_ckpt, grids)
     assert p.quadrant == quadrant_of(p.valence, p.arousal)
     # frame order cannot matter
     q = project_event(a_ckpt, v_ckpt, "ev7", grids[::-1])
