@@ -6,8 +6,11 @@ violation. Every subcommand is deterministic given its flags and inputs.
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -55,26 +58,55 @@ def _load_config(path):
     return cfg
 
 
-def _section(config: dict, name: str, cls, overrides: dict):
-    """defaults < config-file section < explicit flags."""
-    merged = dict(config.get(name, {}))
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a config field's annotation; an int is a
+    float, and neither a bool (no config field is one) nor NaN or infinity
+    (which pass every range check as comparisons come out false) fits."""
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        return False
+    if typing.get_args(hint):  # Optional[...] or X | None
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _section(path, config: dict, name: str, cls, overrides: dict):
+    """defaults < config-file section < explicit flags.
+
+    Raises ValueError naming the file and the section when the section is
+    not an object, holds a key ``cls`` does not have or a value of the wrong
+    type, or ``cls`` rejects the merged values.
+    """
+    where = f"{path}: section {name!r}" if path else f"{name} settings"
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    for key, value in section.items():
+        if key not in hints:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{where}: {key!r} cannot be {value!r}")
+    merged = dict(section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**merged)
+    try:
+        return cls(**merged)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _seg_config(args, config) -> SegmentationConfig:
-    return _section(config, "segmentation", SegmentationConfig, {
+    return _section(args.config, config, "segmentation", SegmentationConfig, {
         "top_db": getattr(args, "top_db", None),
         "target_len": getattr(args, "frame_len", None),
         "stride": getattr(args, "stride", None),
     })
 
 
-def _feat_config(config) -> FeatureConfig:
-    fc = dict(config.get("features", {}))
-    if "fmax" in fc and fc["fmax"] is not None:
-        fc["fmax"] = float(fc["fmax"])
-    return FeatureConfig(**fc)
+def _feat_config(path, config) -> FeatureConfig:
+    fc = _section(path, config, "features", FeatureConfig, {})
+    return fc if fc.fmax is None else dataclasses.replace(fc, fmax=float(fc.fmax))
 
 
 def cmd_segment(args) -> int:
@@ -115,7 +147,7 @@ def cmd_segment(args) -> int:
 def cmd_featurize(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(config)
+    feat_cfg = _feat_config(args.config, config)
     in_path = Path(args.in_path)
     clip = read_wav(in_path)
     grids = pipeline.featurise(pipeline.frames_of_clip(clip, in_path.stem, seg_cfg), feat_cfg)
@@ -178,14 +210,11 @@ def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(config)
-    train_section = dict(config.get("train", {}))
-    overrides = {"epochs": args.epochs, "batch_size": args.batch,
-                 "learning_rate": args.lr, "seed": args.seed,
-                 "pairs_per_epoch": args.pairs_per_epoch}
-    train_section.update({k: v for k, v in overrides.items() if v is not None})
-    train_section["dimension"] = args.dim
-    cfg = models.TrainConfig(**train_section)
+    feat_cfg = _feat_config(args.config, config)
+    cfg = _section(args.config, config, "train", models.TrainConfig, {
+        "dimension": args.dim, "epochs": args.epochs, "batch_size": args.batch,
+        "learning_rate": args.lr, "seed": args.seed,
+        "pairs_per_epoch": args.pairs_per_epoch})
 
     events = _events_from_manifest(args.manifest, seg_cfg, feat_cfg, "train")
     if not events:

@@ -18,6 +18,7 @@ raw float32 tensors, and a trailing CRC32.
 """
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -35,10 +36,6 @@ from .segmentation import SegmentationConfig
 CHECKPOINT_MAGIC = b"BDN1"
 TENSOR_FILE_MAGIC = b"BDF1"
 CHECKPOINT_VERSION = 1
-# frames per forward call when scoring: a chunk's activations stay in cache
-# (on a 2-vCPU OpenBLAS host 16 frames ran at 0.22 ms/frame, 128 at 0.40),
-# and the chunk bounds scoring's memory whatever the number of frames
-SCORE_CHUNK = 16
 
 
 class CheckpointError(Exception):
@@ -292,13 +289,13 @@ def siamese_forward(spec: nn.NetSpec, params: nn.Params, xa: np.ndarray,
 def predict_many(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> np.ndarray:
     """Single-branch scalar of each feature grid, as float64.
 
-    Grids run through the network SCORE_CHUNK at a time; each score has the
-    same bits whatever the list's length or the grid's place in it.
+    Grids run through the network ``neuralnet.CHUNK`` at a time; each score
+    has the same bits whatever the list's length or the grid's place in it.
     """
     out = np.zeros(len(features))
-    for lo in range(0, len(features), SCORE_CHUNK):
+    for lo in range(0, len(features), nn.CHUNK):
         y, _ = nn.forward(ckpt.net_spec, ckpt.params,
-                          _stack_features(features[lo : lo + SCORE_CHUNK]))
+                          _stack_features(features[lo : lo + nn.CHUNK]))
         out[lo : lo + len(y)] = y[:, 0]
     return out
 
@@ -385,7 +382,9 @@ def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
             pos += 4
             shape = struct.unpack_from(f"<{rank}I", blob, pos)
             pos += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
+            count = math.prod(shape)
+            if pos + 4 * count > end:  # numpy raises OverflowError past ssize_t
+                raise ValueError("tensor data runs past the end")
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos).reshape(shape)
             pos += 4 * count
         except UnicodeDecodeError as exc:
@@ -394,6 +393,8 @@ def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
             raise CheckpointError(f"{path}: truncated tensor block") from exc
         if name in tensors:
             raise CheckpointError(f"{path}: repeated tensor {name!r}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinite values")
         tensors[name] = arr.astype(np.float32)
     return meta, tensors
 
@@ -461,6 +462,32 @@ def _param_shapes(spec: nn.NetSpec) -> dict:
     return shapes
 
 
+# float32 activations stay finite while every exact value is at most half the
+# float32 maximum: rounding moves a float32 sum of K terms by a relative
+# K * 6e-8 at most, far from a factor of 2 for any layer width in use
+_ACTIVATION_LIMIT = float(np.finfo(np.float32).max) / 2
+
+
+def _check_activation_range(layers: list, path):
+    """Raise CheckpointError unless the net's activations stay finite for
+    every input in [0, 1], the range of the log-mel grids.
+
+    A bound on |activation| after layer i is, over its output units, the
+    largest row sum of |weight| times the bound before it, plus |bias|;
+    relu, max-pool and flatten never raise the bound.
+    """
+    bound = 1.0
+    for i, entry in enumerate(layers):
+        if entry is None:
+            continue
+        w = np.abs(entry["w"].astype(np.float64))
+        rows = w.sum(axis=tuple(range(1, w.ndim)))
+        bound = float(np.max(rows * bound + np.abs(entry["b"].astype(np.float64)), initial=0.0))
+        if not bound <= _ACTIVATION_LIMIT:
+            raise CheckpointError(f"{path}: tensors layer{i}.weight and layer{i}.bias can "
+                                  f"drive activations past the float32 range")
+
+
 def _meta_field(meta: dict, key: str, kind, path):
     """meta[key], which must be present and of type ``kind`` (bool is no int)."""
     value = meta.get(key)
@@ -474,8 +501,9 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     """Read and verify a BDN1 container.
 
     Raises CheckpointError on a bad magic, version mismatch, truncation,
-    checksum failure, missing or mistyped metadata, a missing, unknown or
-    misshapen tensor, or (when ``dimension`` is given) a dimension-tag
+    checksum failure, missing or mistyped metadata, a missing, unknown,
+    misshapen or non-finite tensor, weights that could drive an activation
+    past the float32 range, or (when ``dimension`` is given) a dimension-tag
     mismatch.
     """
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
@@ -519,6 +547,7 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     layers = [{"w": tensors[f"layer{i}.weight"], "b": tensors[f"layer{i}.bias"]}
               if isinstance(layer, (nn.Conv2d, nn.Dense)) else None
               for i, layer in enumerate(spec.layers)]
+    _check_activation_range(layers, path)
     return Checkpoint(
         dimension=tag,
         seed=seed,

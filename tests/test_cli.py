@@ -391,3 +391,44 @@ def test_config_file_overrides(corpus_dir, tmp_path):
     ckpt = load_checkpoint(out)
     assert ckpt.segmentation_config.top_db == 25.0
     assert ckpt.seed == 1
+
+@pytest.mark.parametrize("config, section", [
+    ({"train": {"epoch": 3}}, "train"),
+    ({"features": {"nfft": 256}}, "features"),
+    ({"segmentation": [1, 2]}, "segmentation"),
+    ({"features": {"n_fft": "512"}}, "features"),
+    ({"train": {"epochs": 2.5}}, "train"),
+    ({"train": {"pairs_per_epoch": True}}, "train"),
+    ({"segmentation": {"stride": 0}}, "segmentation"),
+    ({"segmentation": {"top_db": float("nan")}}, "segmentation"),
+    ({"train": {"learning_rate": float("inf")}}, "train"),
+], ids=["unknown-train-key", "unknown-feature-key", "section-not-object", "string-for-int",
+        "float-for-int", "bool-for-int", "rejected-value", "nan", "infinity"])
+def test_malformed_config_is_data_error_and_saves_nothing(corpus_dir, tmp_path, capsys,
+                                                          config, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+               "--model", "baseline", "--config", str(cfg), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert f"{cfg}: section '{section}'" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "project"])
+def test_non_finite_weight_is_data_error_and_writes_nothing(checkpoints, corpus_dir, tmp_path,
+                                                            capsys, command):
+    ckpt = load_checkpoint(checkpoints["arousal"])
+    ckpt.params.layers[0]["w"][0, 0, 1, 1] = np.inf
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    out = tmp_path / "out.json"
+    manifest = str(corpus_dir / "manifest.csv")
+    if command == "eval":
+        code = run("eval", "--model", str(bad), "--manifest", manifest, "--report", str(out))
+    else:
+        code = run("project", "--arousal-model", str(bad), "--valence-model",
+                   str(checkpoints["valence"]), "--in", manifest, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert "'layer0.weight' holds NaN or infinite" in capsys.readouterr().err

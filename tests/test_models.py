@@ -5,15 +5,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from barkspace import neuralnet as nn
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
-from barkspace.models import (CHECKPOINT_MAGIC, SCORE_CHUNK, TENSOR_FILE_MAGIC, Checkpoint,
+from barkspace.models import (CHECKPOINT_MAGIC, TENSOR_FILE_MAGIC, Checkpoint,
                               CheckpointError, TrainConfig, _pack_container, load_checkpoint,
                               load_tensor_file, make_pairs, predict_event,
-                              predict_many, save_checkpoint,
+                              predict_many, save_checkpoint, save_tensor_file,
                               siamese_forward, train_baseline, train_siamese)
 from barkspace.segmentation import SegmentationConfig
 
@@ -177,7 +179,7 @@ def full_checkpoint(seed=3, dimension="arousal"):
 def test_predict_event_mean_and_permutation():
     ckpt = full_checkpoint(seed=3)
     rng = np.random.default_rng(2)
-    grids = [rng.uniform(0, 1, size=(64, 37)) for _ in range(SCORE_CHUNK + 4)]
+    grids = [rng.uniform(0, 1, size=(64, 37)) for _ in range(nn.CHUNK + 4)]
     score = predict_event(ckpt, grids)
     assert predict_event(ckpt, grids[::-1]) == score
     per_frame = [predict_event(ckpt, [g]) for g in grids]
@@ -235,10 +237,10 @@ def test_predict_event_input_validation():
 def test_predict_many_is_exact_under_chunking():
     ckpt = toy_checkpoint(seed=4)
     rng = np.random.default_rng(8)
-    grids = [rng.uniform(0, 1, size=TOY_SHAPE[1:]) for _ in range(3 * SCORE_CHUNK + 5)]
+    grids = [rng.uniform(0, 1, size=TOY_SHAPE[1:]) for _ in range(3 * nn.CHUNK + 5)]
     scores = predict_many(ckpt, grids)
     assert scores.dtype == np.float64 and scores.shape == (len(grids),)
-    for lo, hi in ((0, 1), (3, 40), (SCORE_CHUNK - 1, SCORE_CHUNK + 1), (7, len(grids))):
+    for lo, hi in ((0, 1), (3, 40), (nn.CHUNK - 1, nn.CHUNK + 1), (7, len(grids))):
         assert np.array_equal(predict_many(ckpt, grids[lo:hi]), scores[lo:hi])
     assert predict_many(ckpt, []).shape == (0,)
 
@@ -421,3 +423,99 @@ def test_tensor_file_reads_back_what_the_raw_layout_holds(tmp_path):
     meta, tensors = load_tensor_file(path)
     assert meta == {"version": 1}
     assert np.array_equal(tensors["a"], np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_tensor_is_checkpoint_error(tmp_path, bad):
+    ckpt = toy_checkpoint()
+    ckpt.params.layers[0]["w"][1, 0, 2, 0] = bad
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError, match="'layer0.weight' holds NaN or infinite"):
+        load_checkpoint(path)
+
+
+def test_tensor_file_non_finite_tensor_is_checkpoint_error(tmp_path):
+    path = tmp_path / "bad.bin"
+    save_tensor_file(path, [("frame0", np.zeros((2, 3))), ("frame1", np.array([0.5, np.nan]))])
+    with pytest.raises(CheckpointError, match="'frame1' holds NaN or infinite"):
+        load_tensor_file(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unchecked net overflows
+def test_checkpoint_weights_that_can_overflow_float32_are_checkpoint_error(tmp_path):
+    """Finite weights whose products leave the float32 range would score inf."""
+    rng = np.random.default_rng(0)
+    grids = list(rng.uniform(0, 1, size=(4,) + TOY_SHAPE[1:]))
+    path = tmp_path / "big.ckpt"
+    ckpt = toy_checkpoint()
+    ckpt.params.layers[4]["w"][:] = 1e30
+    save_checkpoint(ckpt, path)
+    assert np.isfinite(predict_many(load_checkpoint(path), grids)).all()
+    ckpt.params.layers[0]["w"][:] = 1e30
+    assert not np.isfinite(predict_many(ckpt, grids)).all()
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError, match="layer4.weight .*float32 range"):
+        load_checkpoint(path)
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@st.composite
+def mutated(draw, blob: bytes):
+    """``blob`` with bytes flipped, overwritten by a float32 (NaN, inf and
+    huge values included), inserted or cut off, then given a valid CRC again,
+    so that the checks behind the checksum do the work."""
+    body = bytearray(blob[:-4])
+    pos = draw(st.integers(0, len(body) - 1))
+    kind = draw(st.sampled_from(["flip", "float", "insert", "truncate"]))
+    if kind == "flip":
+        for k, mask in enumerate(draw(st.lists(st.integers(1, 255), min_size=1, max_size=4))):
+            body[(pos + k) % len(body)] ^= mask
+    elif kind == "float":
+        pos = min(pos, len(body) - 4)
+        body[pos : pos + 4] = struct.pack("<f", draw(st.floats(width=32)))
+    elif kind == "insert":
+        body[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+    else:
+        del body[pos:]
+    return _with_crc(bytes(body))
+
+
+def _saved(tmp_path_factory, name: str, save) -> bytes:
+    path = tmp_path_factory.getbasetemp() / name
+    save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_checkpoint_loads_only_as_a_finite_model(data, tmp_path_factory):
+    ckpt = toy_checkpoint(seed=2, boundaries=Boundaries(-0.5, 0.5))
+    valid = _saved(tmp_path_factory, "valid.ckpt", lambda p: save_checkpoint(ckpt, p))
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(data.draw(mutated(valid)))
+    try:
+        back = load_checkpoint(path)
+    except CheckpointError:
+        return
+    probe = np.random.default_rng(0).uniform(0, 1, size=(5,) + back.net_spec.input_shape[1:])
+    assert np.isfinite(predict_many(back, list(probe))).all()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_tensor_file_loads_only_as_finite_tensors(data, tmp_path_factory):
+    rng = np.random.default_rng(1)
+    frames = [(f"frame{i}", rng.uniform(0, 1, size=(4, 3))) for i in range(3)]
+    valid = _saved(tmp_path_factory, "valid.bin",
+                   lambda p: save_tensor_file(p, frames, {"n_frames": 3}))
+    path = tmp_path_factory.getbasetemp() / "mutated.bin"
+    path.write_bytes(data.draw(mutated(valid)))
+    try:
+        _, tensors = load_tensor_file(path)
+    except CheckpointError:
+        return
+    assert all(t.dtype == np.float32 and np.isfinite(t).all() for t in tensors.values())

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import unchunked
 from barkspace import neuralnet as nn
-from gradcheck import draw_checkable_case, max_gradient_error
+from gradcheck import draw_checkable_case, max_gradient_error, random_small_spec
 
 TINY = nn.NetSpec((1, 6, 5), (nn.Conv2d(2, 3, 3), nn.Relu(), nn.Flatten(), nn.Dense(1)))
 
@@ -352,3 +357,149 @@ def test_backward_without_input_grad_gives_same_param_grads(spec):
         assert (g is None) == (g_lean is None)
         if g is not None:
             assert np.array_equal(g["w"], g_lean["w"]) and np.array_equal(g["b"], g_lean["b"])
+
+
+# --- the chunked trunk against the unchunked engine -------------------------
+
+ORACLE_SPECS = [
+    nn.default_net_spec(),
+    nn.NetSpec((1, 6, 5), (nn.Relu(), nn.Conv2d(2, 2, 2), nn.Relu(), nn.Flatten(), nn.Dense(1))),
+    nn.NetSpec((2, 5, 4), (nn.Conv2d(3, 2, 2),)),
+    nn.NetSpec((2, 7, 6), (nn.Relu(), nn.MaxPool2x2())),
+    nn.NetSpec((1, 1, 4), (nn.Flatten(), nn.Dense(2), nn.Relu(), nn.Dense(1))),
+    nn.NetSpec((2, 9, 7), (nn.Conv2d(1, 2, 2), nn.Relu(), nn.MaxPool2x2(), nn.Flatten(),
+                           nn.Dense(1))),
+]
+
+
+def assert_same_step(spec, params, x, upstream, input_grad):
+    """forward and backward give the bits, dtypes and shapes of the unchunked engine."""
+    y, tape = nn.forward(spec, params, x)
+    y_ref, tape_ref = unchunked.forward(spec, params, x)
+    assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+    grads, dx = nn.backward(spec, params, tape, upstream, input_grad=input_grad)
+    grads_ref, dx_ref = unchunked.backward(spec, params, tape_ref, upstream,
+                                           input_grad=input_grad)
+    if input_grad:
+        assert dx.dtype == dx_ref.dtype and np.array_equal(dx, dx_ref)
+    else:
+        assert dx is None and dx_ref is None
+    for g, g_ref in zip(grads, grads_ref):
+        assert (g is None) == (g_ref is None)
+        if g is not None:
+            for k in ("w", "b"):
+                assert g[k].dtype == g_ref[k].dtype and g[k].shape == g_ref[k].shape
+                assert np.array_equal(g[k], g_ref[k])
+
+
+def tied_batch(rng, spec, b, dtype):
+    """Random inputs with flat regions and few-level items: tied pool windows
+    and exact zeros through every relu."""
+    x = rng.standard_normal((b,) + spec.input_shape).astype(dtype)
+    x[:, :, : spec.input_shape[1] // 3] = 0.0
+    x[: b // 2] = np.round(x[: b // 2])
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["default-net", "relu-first", "conv-only",
+                                                    "relu-pool", "dense-only",
+                                                    "one-channel-conv"])
+def test_chunked_engine_is_bit_equal_to_unchunked(spec, dtype):
+    rng = np.random.default_rng(31)
+    params = nn.init_params(spec, 4, dtype=dtype)
+    for b in (1, nn.CHUNK - 1, nn.CHUNK, nn.CHUNK + 1, 40):
+        x = tied_batch(rng, spec, b, dtype)
+        y, _ = unchunked.forward(spec, params, x)
+        upstream = rng.standard_normal(y.shape).astype(dtype)
+        for input_grad in (True, False):
+            assert_same_step(spec, params, x, upstream, input_grad)
+    # an unbatched input runs as a batch of one and comes back squeezed
+    assert_same_step(spec, params, x[0], upstream[0], True)
+
+
+def test_training_batch_is_bit_equal_to_unchunked():
+    """The training step's batch of 128 (8 chunks), ties included, input gradient on."""
+    spec = nn.default_net_spec()
+    params = nn.init_params(spec, 9, dtype=np.float32)
+    rng = np.random.default_rng(2)
+    x = tied_batch(rng, spec, 128, np.float32)
+    # a constant input gives conv output == bias: negative, zero and positive ties
+    params.layers[0]["b"][:] = np.resize(np.array([-0.5, 0.0, 0.25], np.float32), 8)
+    upstream = rng.standard_normal((128, 1)).astype(np.float32)
+    assert_same_step(spec, params, x, upstream, True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3 * nn.CHUNK + 3),
+       dtype=st.sampled_from([np.float32, np.float64]), input_grad=st.booleans())
+def test_chunked_engine_matches_unchunked_on_random_specs(seed, b, dtype, input_grad):
+    rng = np.random.default_rng(seed)
+    spec = random_small_spec(rng)
+    params = nn.init_params(spec, seed, dtype=dtype)
+    x = tied_batch(rng, spec, b, dtype)
+    upstream = rng.standard_normal((b, 1)).astype(dtype)
+    assert_same_step(spec, params, x, upstream, input_grad)
+
+
+def test_two_live_tapes_stay_valid():
+    """A tape owns its arrays: a second forward and backward in between leave
+    the first tape, output and gradients intact."""
+    spec = nn.default_net_spec((1, 20, 15))
+    params = nn.init_params(spec, 6, dtype=np.float32)
+    rng = np.random.default_rng(3)
+    xa, xb = (rng.standard_normal((2 * nn.CHUNK + 3,) + spec.input_shape).astype(np.float32)
+              for _ in range(2))
+    ya, tape_a = nn.forward(spec, params, xa)
+    yb, tape_b = nn.forward(spec, params, xb)
+    ga, dxa = nn.backward(spec, params, tape_a, np.ones_like(ya))
+    gb, dxb = nn.backward(spec, params, tape_b, np.ones_like(yb))
+    for x, y, g, dx in ((xa, ya, ga, dxa), (xb, yb, gb, dxb)):
+        y_ref, tape_ref = unchunked.forward(spec, params, x)
+        g_ref, dx_ref = unchunked.backward(spec, params, tape_ref, np.ones_like(y_ref))
+        assert np.array_equal(y, y_ref) and np.array_equal(dx, dx_ref)
+        for e, e_ref in zip(g, g_ref):
+            if e is not None:
+                assert np.array_equal(e["w"], e_ref["w"]) and np.array_equal(e["b"], e_ref["b"])
+
+
+def test_training_step_memory_is_at_most_half_the_unchunked_step():
+    """tracemalloc peak of one 128-item training step."""
+    spec = nn.default_net_spec()
+    params = nn.init_params(spec, 1, dtype=np.float32)
+    rng = np.random.default_rng(0)
+    x = rng.random((128,) + spec.input_shape, dtype=np.float32)
+    upstream = rng.standard_normal((128, 1)).astype(np.float32)
+
+    def chunked():
+        _, tape = nn.forward(spec, params, x)
+        nn.backward(spec, params, tape, upstream, input_grad=False)
+
+    def whole():
+        _, tape = unchunked.forward(spec, params, x)
+        unchunked.backward(spec, params, tape, upstream, input_grad=False)
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            step()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(chunked) <= peak(whole) / 2
+
+
+def scalar_uniform(rng, n):
+    """The stream drawn one next_u64 call at a time."""
+    return np.array([(rng.next_u64() >> 11) * 2.0**-53 for _ in range(n)], dtype=np.float64)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(-(2**63), 2**64 - 1))
+def test_uniform_is_the_next_u64_stream(seed):
+    fast, slow = nn.XorShift64Star(seed), nn.XorShift64Star(seed)
+    for n in (0, 1, 2, 63, 64, 1000, 100352, 5):
+        assert np.array_equal(fast.uniform(n, -0.25, 0.75), -0.25 + 1.0 * scalar_uniform(slow, n))
+        assert fast._state == slow._state  # the next call continues the stream
+    assert fast.next_u64() == slow.next_u64()
