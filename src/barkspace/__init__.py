@@ -15,18 +15,12 @@ the ``barkspace`` CLI for batch pipelines.
 
 from . import (audio_io, corpus, evaluation, features, labels, models,
                neuralnet, pipeline, projection, segmentation)
-from .audio_io import CANONICAL_RATE_HZ, AudioClip, read_wav, resample, write_wav
-from .corpus import ManifestEntry, SynthConfig, load_manifest, save_manifest, synth_corpus
-from .evaluation import (Boundaries, ConfusionMatrix, EvalReport, UndefinedMetricError,
-                         accuracy, calibrate_boundaries, decode, evaluate,
-                         event_level_split, tap)
-from .features import FeatureConfig, log_mel, mel_filterbank, stft_power
-from .labels import OrdinalLabel, parse_label
-from .models import (Checkpoint, TrainConfig, TrainResult, load_checkpoint,
-                     load_tensor_file, make_pairs, predict_event, save_checkpoint,
-                     save_tensor_file, siamese_forward, train_baseline, train_siamese)
-from .projection import EmotionPoint, export_points, project_event, quadrant_of
-from .segmentation import (EventSegment, Frame, SegmentationConfig,
-                           detect_nonsilent, frame_segment)
+from .audio_io import AudioClip, read_wav
+from .corpus import SynthConfig, synth_corpus
+from .evaluation import evaluate, event_level_split
+from .features import FeatureConfig, log_mel
+from .models import TrainConfig
+from .projection import export_points, project_event
+from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
 
 __version__ = "0.1.0"

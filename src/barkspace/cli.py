@@ -8,7 +8,6 @@ violation. Every subcommand is deterministic given its flags and inputs.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -60,9 +59,9 @@ def _load_config(path):
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a config field's annotation; an int is a
-    float, and neither a bool (no config field is one) nor NaN or infinity
-    (which pass every range check as comparisons come out false) fits."""
-    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+    float, and a bool (no config field is one) fits nothing. The config
+    classes themselves reject NaN and infinity."""
+    if isinstance(value, bool):
         return False
     if typing.get_args(hint):  # Optional[...] or X | None
         return any(_fits(value, arg) for arg in typing.get_args(hint))
@@ -229,7 +228,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
     ckpt = models.load_checkpoint(args.model)
     events = _events_from_manifest(args.manifest, ckpt.segmentation_config,
                                    ckpt.feature_config, args.split)
@@ -252,8 +250,7 @@ def cmd_project(args) -> int:
 
     in_path = Path(args.in_path)
     if in_path.suffix.lower() == ".csv":
-        labeled = pipeline.load_event_features(load_manifest(in_path), in_path.parent,
-                                               seg_cfg, feat_cfg)
+        labeled = _events_from_manifest(in_path, seg_cfg, feat_cfg, None)
         events = [(ev.event_id, ev.features) for ev in labeled]
     elif args.hist:
         raise ValueError("--hist needs a labeled manifest input")
@@ -299,10 +296,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="barkspace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="PRNG seed (default 42)")
-        p.add_argument("--config", default=None, help="JSON config overriding built-in defaults")
+    def common(p, func):
         p.add_argument("--verbose", action="store_true")
+        p.set_defaults(func=func)
+
+    config_help = "JSON config overriding built-in defaults"
 
     p = sub.add_parser("segment", help="cut recordings into non-silent event WAVs")
     p.add_argument("--in", dest="in_path", required=True, help="WAV file or directory")
@@ -310,30 +308,30 @@ def build_parser() -> _Parser:
     p.add_argument("--top-db", type=float, default=None)
     p.add_argument("--frame-len", type=int, default=None)
     p.add_argument("--stride", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_segment)
+    p.add_argument("--config", default=None, help=config_help)
+    common(p, cmd_segment)
 
     p = sub.add_parser("featurize", help="write a WAV's log-mel frames to a file")
     p.add_argument("--in", dest="in_path", required=True, help="WAV file")
     p.add_argument("--out", required=True, help="output tensor/CSV path")
     p.add_argument("--format", choices=("bin", "csv"), default="bin")
-    common(p)
-    p.set_defaults(func=cmd_featurize)
+    p.add_argument("--config", default=None, help=config_help)
+    common(p, cmd_featurize)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic corpus")
     p.add_argument("--n-events", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dur-min", type=float, default=0.2)
     p.add_argument("--dur-max", type=float, default=1.5)
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
+    common(p, cmd_synth)
 
     p = sub.add_parser("split", help="add an event-level train/test split column")
     p.add_argument("--manifest", required=True)
     p.add_argument("--ratio", type=float, required=True)
     p.add_argument("--out", required=True)
-    common(p)
-    p.set_defaults(func=cmd_split)
+    p.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
+    common(p, cmd_split)
 
     p = sub.add_parser("train", help="train one dimension model")
     p.add_argument("--manifest", required=True)
@@ -344,16 +342,17 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--pairs-per-epoch", type=int, default=None)
     p.add_argument("--out", required=True, help="checkpoint path")
-    common(p)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--seed", type=int, default=None,
+                   help="PRNG seed (default: the config file's, else 42)")
+    p.add_argument("--config", default=None, help=config_help)
+    common(p, cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a manifest split")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--report", required=True, help="output JSON path")
-    common(p)
-    p.set_defaults(func=cmd_eval)
+    common(p, cmd_eval)
 
     p = sub.add_parser("project", help="project events onto the emotion plane")
     p.add_argument("--arousal-model", required=True)
@@ -362,8 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--hist", default=None, help="also write per-class score histogram JSON")
-    common(p)
-    p.set_defaults(func=cmd_project)
+    common(p, cmd_project)
 
     return parser
 
@@ -374,8 +372,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
-    if getattr(args, "seed", None) is None:
-        args.seed = 42
     try:
         return args.func(args)
     except _DATA_EXCEPTIONS as exc:

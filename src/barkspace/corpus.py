@@ -13,6 +13,7 @@ any external data.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,8 +75,8 @@ class SynthConfig:
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         lo, hi = self.duration_range
-        if not (0 < lo <= hi):
-            raise ValueError("duration_range must be increasing and positive")
+        if not (0 < lo <= hi < math.inf):
+            raise ValueError("duration_range must be increasing, positive and finite")
 
 
 def load_manifest(path) -> list[ManifestEntry]:

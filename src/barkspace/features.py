@@ -8,6 +8,7 @@ needed at projection time. With the defaults (n_fft 512, hop 128, no
 centering) a 5120-sample frame yields 37 time columns.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,10 +31,14 @@ class FeatureConfig:
     def __post_init__(self):
         if not (0 < self.hop <= self.n_fft):
             raise ValueError("hop must be in (0, n_fft]")
-        if self.n_mels < 1:
+        if not (self.n_mels >= 1):
             raise ValueError("n_mels must be >= 1")
-        if self.db_floor >= 0:
-            raise ValueError("db_floor must be negative")
+        if not (-math.inf < self.db_floor < 0):
+            raise ValueError("db_floor must be negative and finite")
+        if not (0 <= self.fmin < math.inf):
+            raise ValueError("fmin must be non-negative and finite")
+        if self.fmax is not None and not (self.fmin < self.fmax < math.inf):
+            raise ValueError("fmax must be finite and above fmin")
 
 
 def hz_to_mel(f):

@@ -1,9 +1,11 @@
 """The two trainable regressors plus pair construction and persistence.
 
-Both models share the same CNN head producing one scalar per input. The
-baseline is trained to regress the numeric label value directly. The
-adjusted twin-network model instead scores two inputs with the shared head
-and is trained so that score(a) - score(b) matches the signed numeric
+Both models share the same CNN head producing one scalar per input, and
+one training loop (``_fit``: Adam on a mean squared error). They differ
+only in the examples each epoch hands that loop. The baseline's are the
+frames themselves, with the numeric label value as target. The adjusted
+twin-network model's are ``make_pairs`` label pairs, scored with the shared
+head so that score(a) - score(b) is trained to match the signed numeric
 difference of their ordinal labels; single-input inference then uses the
 branch scalar, which is an absolute coordinate up to an additive constant
 absorbed later by boundary calibration.
@@ -54,9 +56,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.dimension not in DIMENSIONS:
             raise ValueError(f"dimension must be one of {DIMENSIONS}")
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
-        if self.pairs_per_epoch is not None and self.pairs_per_epoch <= 0:
+        if not (self.epochs > 0 and self.batch_size > 0 and 0 < self.learning_rate < math.inf):
+            raise ValueError("epochs, batch_size and learning_rate must be positive and finite")
+        if self.pairs_per_epoch is not None and not (self.pairs_per_epoch > 0):
             raise ValueError("pairs_per_epoch must be positive")
 
 
@@ -104,13 +106,6 @@ def _check_loss(loss: float, step: int) -> float:
         raise ValueError(f"training diverged: the batch loss is not finite ({loss}) "
                          f"at step {step}")
     return loss
-
-
-def _net_spec_for(features: np.ndarray, net_spec: Optional[nn.NetSpec]) -> nn.NetSpec:
-    spec = net_spec or nn.default_net_spec(input_shape=tuple(features.shape[1:]))
-    if spec.output_shape != (1,):
-        raise ValueError("regression head must end in dense(1)")
-    return spec
 
 
 def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
@@ -161,53 +156,68 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
     return pairs
 
 
+def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, examples,
+         net_spec: Optional[nn.NetSpec], feature_config: Optional[FeatureConfig],
+         segmentation_config: Optional[SegmentationConfig],
+         sample_rate_hz: int) -> TrainResult:
+    """Adam on the MSE between each example's prediction and its target.
+
+    ``examples(labels, epoch)`` gives frame indices ``first`` and ``second``
+    (or None) and float32 targets. The prediction is score(first), or
+    score(first) - score(second) with both branches in one stacked batch, so
+    their gradients accumulate into the shared weights in a fixed order.
+    Examples are reshuffled every epoch by a (seed, epoch)-derived generator;
+    the result is a pure function of (data, config, seed).
+    """
+    values = [v for _, v in train_frames]
+    _check_training_set(values)
+    labels = [label_from_value(float(v)) for v in values]
+    x = _stack_features([f for f, _ in train_frames])
+    spec = net_spec or nn.default_net_spec(input_shape=tuple(x.shape[1:]))
+    if spec.output_shape != (1,):
+        raise ValueError("regression head must end in dense(1)")
+
+    params = nn.init_params(spec, cfg.seed, dtype=np.float32)
+    state = nn.init_adam(params)
+    history = []
+    for epoch in range(cfg.epochs):
+        first, second, target = examples(labels, epoch)
+        perm = np.random.default_rng((cfg.seed, epoch, 0x5487FE)).permutation(len(target))
+        losses = []
+        for lo in range(0, len(perm), cfg.batch_size):
+            sel = perm[lo : lo + cfg.batch_size]
+            b = len(sel)
+            rows = first[sel] if second is None else np.concatenate((first[sel], second[sel]))
+            out, tape = nn.forward(spec, params, x[rows])
+            pred = out[:b, 0] if second is None else out[:b, 0] - out[b:, 0]
+            err = pred - target[sel]
+            losses.append(_check_loss(float(np.mean(err * err)), state.t + 1) * b)
+            g = (2.0 / b) * err
+            upstream = g if second is None else np.concatenate((g, -g))
+            grads, _ = nn.backward(spec, params, tape, upstream[:, None].astype(np.float32),
+                                   input_grad=False)
+            nn.adam_step(params, grads, state, cfg.learning_rate)
+        history.append(sum(losses) / len(perm))
+
+    ckpt = Checkpoint(dimension=cfg.dimension, seed=cfg.seed, net_spec=spec, params=params,
+                      feature_config=feature_config or FeatureConfig(),
+                      segmentation_config=segmentation_config or SegmentationConfig(),
+                      sample_rate_hz=sample_rate_hz)
+    return TrainResult(checkpoint=ckpt, loss_history=history)
+
+
 def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
                    *, net_spec: Optional[nn.NetSpec] = None,
                    feature_config: Optional[FeatureConfig] = None,
                    segmentation_config: Optional[SegmentationConfig] = None,
                    sample_rate_hz: int = 22050) -> TrainResult:
-    """Mean-squared-error regression of the numeric label value.
+    """Mean-squared-error regression of the numeric label value of each frame."""
+    def examples(labels, epoch):
+        return (np.arange(len(labels)), None,
+                np.asarray([l.numeric for l in labels], dtype=np.float32))
 
-    Data is reshuffled every epoch by a (seed, epoch)-derived generator;
-    the result is a pure function of (data, config, seed).
-    """
-    feats = [f for f, _ in train_frames]
-    values = [v for _, v in train_frames]
-    _check_training_set(values)
-    x = _stack_features(feats)
-    y = np.asarray(values, dtype=np.float32)
-    spec = _net_spec_for(x, net_spec)
-
-    params = nn.init_params(spec, cfg.seed, dtype=np.float32)
-    state = nn.init_adam(params)
-    history = []
-    n = len(x)
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng((cfg.seed, epoch, 0x5487FE))
-        perm = rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch_size):
-            sel = perm[lo : lo + cfg.batch_size]
-            out, tape = nn.forward(spec, params, x[sel])
-            pred = out[:, 0]
-            err = pred - y[sel]
-            losses.append(_check_loss(float(np.mean(err * err)), state.t + 1) * len(sel))
-            upstream = (2.0 / len(sel)) * err[:, None]
-            grads, _ = nn.backward(spec, params, tape, upstream.astype(np.float32),
-                                   input_grad=False)
-            nn.adam_step(params, grads, state, cfg.learning_rate)
-        history.append(sum(losses) / n)
-
-    ckpt = Checkpoint(
-        dimension=cfg.dimension,
-        seed=cfg.seed,
-        net_spec=spec,
-        params=params,
-        feature_config=feature_config or FeatureConfig(),
-        segmentation_config=segmentation_config or SegmentationConfig(),
-        sample_rate_hz=sample_rate_hz,
-    )
-    return TrainResult(checkpoint=ckpt, loss_history=history)
+    return _fit(train_frames, cfg, examples, net_spec, feature_config,
+                segmentation_config, sample_rate_hz)
 
 
 def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
@@ -217,54 +227,17 @@ def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainCo
                   sample_rate_hz: int = 22050) -> TrainResult:
     """Train the shared head to regress ordered numeric label differences.
 
-    Each pair runs both inputs through the same weights; the loss is the MSE
-    between score(a) - score(b) and the pair target, and gradients from both
-    branches accumulate into the shared parameters (both branches are part
-    of one stacked batch, so accumulation order is fixed).
+    Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
+    from ``make_pairs``; the loss is the MSE between score(a) - score(b) and
+    the pair target.
     """
-    feats = [f for f, _ in train_frames]
-    values = [v for _, v in train_frames]
-    _check_training_set(values)
-    labels = [label_from_value(float(v)) for v in values]
-    x = _stack_features(feats)
-    spec = _net_spec_for(x, net_spec)
+    def examples(labels, epoch):
+        pairs = make_pairs(labels, cfg.pairs_per_epoch or 4 * len(labels), cfg.seed, epoch)
+        ia, ib, target = zip(*pairs)
+        return np.asarray(ia), np.asarray(ib), np.asarray(target, dtype=np.float32)
 
-    pairs_per_epoch = cfg.pairs_per_epoch or 4 * len(x)
-    params = nn.init_params(spec, cfg.seed, dtype=np.float32)
-    state = nn.init_adam(params)
-    history = []
-    for epoch in range(cfg.epochs):
-        pairs = make_pairs(labels, pairs_per_epoch, cfg.seed, epoch)
-        rng = np.random.default_rng((cfg.seed, epoch, 0x5487FE))
-        perm = rng.permutation(len(pairs))
-        ia = np.asarray([pairs[k][0] for k in perm])
-        ib = np.asarray([pairs[k][1] for k in perm])
-        tg = np.asarray([pairs[k][2] for k in perm], dtype=np.float32)
-        losses = []
-        for lo in range(0, len(pairs), cfg.batch_size):
-            sa, sb, t = ia[lo : lo + cfg.batch_size], ib[lo : lo + cfg.batch_size], tg[lo : lo + cfg.batch_size]
-            b = len(t)
-            stacked = np.concatenate((x[sa], x[sb]))
-            out, tape = nn.forward(spec, params, stacked)
-            diff = out[:b, 0] - out[b:, 0]
-            err = diff - t
-            losses.append(_check_loss(float(np.mean(err * err)), state.t + 1) * b)
-            g = (2.0 / b) * err
-            upstream = np.concatenate((g, -g))[:, None].astype(np.float32)
-            grads, _ = nn.backward(spec, params, tape, upstream, input_grad=False)
-            nn.adam_step(params, grads, state, cfg.learning_rate)
-        history.append(sum(losses) / len(pairs))
-
-    ckpt = Checkpoint(
-        dimension=cfg.dimension,
-        seed=cfg.seed,
-        net_spec=spec,
-        params=params,
-        feature_config=feature_config or FeatureConfig(),
-        segmentation_config=segmentation_config or SegmentationConfig(),
-        sample_rate_hz=sample_rate_hz,
-    )
-    return TrainResult(checkpoint=ckpt, loss_history=history)
+    return _fit(train_frames, cfg, examples, net_spec, feature_config,
+                segmentation_config, sample_rate_hz)
 
 
 def _as_net_input(spec: nn.NetSpec, x: np.ndarray, dtype) -> np.ndarray:

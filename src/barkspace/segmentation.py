@@ -8,6 +8,7 @@ symmetrically zero-padded, long ones are cut with a sliding window plus one
 end-aligned frame for any tail remainder.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class SegmentationConfig:
     detect_hop: int = 256
 
     def __post_init__(self):
-        if self.top_db <= 0:
-            raise ValueError("top_db must be positive")
+        if not (0 < self.top_db < math.inf):
+            raise ValueError("top_db must be positive and finite")
         if not (0 < self.stride <= self.target_len):
             raise ValueError("stride must be in (0, target_len]")
         if not (0 < self.detect_hop <= self.detect_frame_len):

@@ -381,16 +381,59 @@ def test_featurize_binary_and_csv(corpus_dir, tmp_path):
 
 
 def test_config_file_overrides(corpus_dir, tmp_path):
+    """defaults < config file < flags, for the seed as for every other value."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_size": 8},
+    cfg.write_text(json.dumps({"train": {"epochs": 1, "batch_size": 8, "seed": 5},
                                "segmentation": {"top_db": 25.0}}))
+    args = ("train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+            "--model", "baseline", "--config", str(cfg))
     out = tmp_path / "cfg.ckpt"
-    assert run("train", "--manifest", str(corpus_dir / "manifest.csv"),
-               "--dim", "valence", "--model", "baseline",
-               "--config", str(cfg), "--seed", "1", "--out", str(out)) == 0
+    assert run(*args, "--seed", "1", "--out", str(out)) == 0
     ckpt = load_checkpoint(out)
     assert ckpt.segmentation_config.top_db == 25.0
     assert ckpt.seed == 1
+    assert run(*args, "--out", str(tmp_path / "file-seed.ckpt")) == 0
+    assert load_checkpoint(tmp_path / "file-seed.ckpt").seed == 5
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("segment", "--top-db"), ("train", "--lr"), ("synth", "--dur-min"), ("synth", "--dur-max"),
+])
+def test_non_finite_float_flag_is_data_error_and_writes_nothing(corpus_dir, tmp_path, capsys,
+                                                                command, flag, value):
+    out = tmp_path / "out"
+    argv = {
+        "segment": ("segment", "--in", str(corpus_dir)),
+        "train": ("train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+                  "--model", "siamese"),
+        "synth": ("synth", "--n-events", "6"),
+    }[command]
+    assert run(*argv, "--out", str(out), f"{flag}={value}") == 2
+    assert not out.exists()
+    assert "internal error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("segment", "--in", "x.wav", "--out", "o", "--seed", "1"),
+    ("featurize", "--in", "x.wav", "--out", "o", "--seed", "1"),
+    ("eval", "--model", "m", "--manifest", "x.csv", "--report", "r", "--seed", "1"),
+    ("project", "--arousal-model", "a", "--valence-model", "v", "--in", "x.wav", "--out", "o",
+     "--seed", "1"),
+    ("synth", "--n-events", "6", "--out", "o", "--config", "c.json"),
+    ("split", "--manifest", "x.csv", "--ratio", "0.5", "--out", "o", "--config", "c.json"),
+    ("eval", "--model", "m", "--manifest", "x.csv", "--report", "r",
+     "--config", "/nonexistent.json"),
+    ("project", "--arousal-model", "a", "--valence-model", "v", "--in", "x.wav", "--out", "o",
+     "--config", "c.json"),
+], ids=["segment-seed", "featurize-seed", "eval-seed", "project-seed", "synth-config",
+        "split-config", "eval-config", "project-config"])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("config, section", [
     ({"train": {"epoch": 3}}, "train"),

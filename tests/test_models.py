@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from barkspace import neuralnet as nn
+import separate_trainers
+from barkspace import models, neuralnet as nn
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
@@ -142,6 +143,13 @@ def test_baseline_requires_all_classes():
         train_baseline([], TrainConfig(dimension="arousal", epochs=1))
 
 
+def test_trainers_reject_a_value_that_is_no_label():
+    data = toy_set(1) + [(toy_set(1)[0][0], 0.5)]
+    for trainer in (train_baseline, train_siamese):
+        with pytest.raises(ValueError, match="no ordinal label"):
+            trainer(data, TrainConfig(dimension="arousal", epochs=1), net_spec=TOY_SPEC)
+
+
 def test_training_is_deterministic():
     data = toy_set(3, seed=6)
     cfg = TrainConfig(dimension="arousal", epochs=3, batch_size=4,
@@ -151,6 +159,26 @@ def test_training_is_deterministic():
         b = trainer(data, cfg, net_spec=TOY_SPEC).checkpoint
         for (n1, t1), (n2, t2) in zip(a.params.tensors(), b.params.tensors()):
             assert n1 == n2 and np.array_equal(t1, t2), n1
+
+
+@pytest.mark.parametrize("kind", ["baseline", "siamese"])
+@pytest.mark.parametrize("batch_size", [4, 5])
+@pytest.mark.parametrize("pairs_per_epoch", [None, 30])
+def test_shared_loop_is_bit_equal_to_separate_trainers(kind, batch_size, pairs_per_epoch):
+    """Both public trainers give the parameters and loss history of their
+    own loops as they were before the merge. 12 frames and 48 default or 30
+    set pairs: batch 4 and 5 each divide one example count and not another."""
+    data = toy_set(4, seed=8)
+    cfg = TrainConfig(dimension="valence", epochs=2, batch_size=batch_size,
+                      learning_rate=3e-3, seed=13, pairs_per_epoch=pairs_per_epoch)
+    new = getattr(models, f"train_{kind}")(data, cfg, net_spec=TOY_SPEC)
+    ref = getattr(separate_trainers, f"train_{kind}")(data, cfg, net_spec=TOY_SPEC)
+    assert new.loss_history == ref.loss_history and len(new.loss_history) == 2
+    for (n1, t1), (n2, t2) in zip(new.checkpoint.params.tensors(),
+                                  ref.checkpoint.params.tensors(), strict=True):
+        assert n1 == n2 and t1.dtype == t2.dtype and np.array_equal(t1, t2), n1
+    new.checkpoint.params = ref.checkpoint.params = None
+    assert new.checkpoint == ref.checkpoint
 
 
 def test_siamese_separates_toy_classes():
@@ -336,6 +364,13 @@ def _saved_meta(tmp_path, ckpt):
     pytest.param(lambda m: m.update(segmentation_config=None), id="segmentation-null"),
     pytest.param(lambda m: m.update(boundaries={"t_low": 1.0}), id="boundaries-partial"),
     pytest.param(lambda m: m.update(boundaries=[0.0, 1.0]), id="boundaries-list"),
+    pytest.param(lambda m: m["segmentation_config"].update(top_db=float("nan")),
+                 id="top-db-nan"),
+    pytest.param(lambda m: m["feature_config"].update(db_floor=float("nan")), id="db-floor-nan"),
+    pytest.param(lambda m: m["feature_config"].update(fmin=float("nan")), id="fmin-nan"),
+    pytest.param(lambda m: m["feature_config"].update(fmax=float("nan")), id="fmax-nan"),
+    pytest.param(lambda m: m["feature_config"].update(n_mels=float("nan")), id="n-mels-nan"),
+    pytest.param(lambda m: m["boundaries"].update(t_low=float("nan")), id="boundary-nan"),
 ])
 def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
     ckpt = toy_checkpoint(boundaries=Boundaries(-0.5, 0.5))
