@@ -6,10 +6,8 @@ violation. Every subcommand is deterministic given its flags and inputs.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +55,8 @@ def _load_config(path):
     return cfg
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a config field's annotation; an int is a
-    float, and a bool (no config field is one) fits nothing. The config
-    classes themselves reject NaN and infinity."""
-    if isinstance(value, bool):
-        return False
-    if typing.get_args(hint):  # Optional[...] or X | None
-        return any(_fits(value, arg) for arg in typing.get_args(hint))
-    if hint is type(None):
-        return value is None
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
 def _section(path, config: dict, name: str, cls, overrides: dict):
-    """defaults < config-file section < explicit flags.
+    """defaults < config-file section < explicit flags, built by ``models.from_json``.
 
     Raises ValueError naming the file and the section when the section is
     not an object, holds a key ``cls`` does not have or a value of the wrong
@@ -81,18 +66,8 @@ def _section(path, config: dict, name: str, cls, overrides: dict):
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be a JSON object")
-    hints = typing.get_type_hints(cls)
-    for key, value in section.items():
-        if key not in hints:
-            raise ValueError(f"{where}: unknown key {key!r}")
-        if not _fits(value, hints[key]):
-            raise ValueError(f"{where}: {key!r} cannot be {value!r}")
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+    return models.from_json(cls, {**section, **{k: v for k, v in overrides.items()
+                                                if v is not None}}, where)
 
 
 def _seg_config(args, config) -> SegmentationConfig:
@@ -103,9 +78,14 @@ def _seg_config(args, config) -> SegmentationConfig:
     })
 
 
-def _feat_config(path, config) -> FeatureConfig:
-    fc = _section(path, config, "features", FeatureConfig, {})
-    return fc if fc.fmax is None else dataclasses.replace(fc, fmax=float(fc.fmax))
+def _recording_events(path: Path, seg_cfg) -> list:
+    """The non-silent spans of the WAV at ``path`` at the canonical rate; an
+    empty recording has none, and a zero-energy span holds nothing to score."""
+    clip = resample(read_wav(path), CANONICAL_RATE_HZ)
+    if len(clip.samples) == 0:
+        return []
+    return [seg for seg in detect_nonsilent(clip, seg_cfg, event_prefix=path.stem)
+            if np.abs(seg.samples).max() > 0.0]
 
 
 def cmd_segment(args) -> int:
@@ -123,13 +103,7 @@ def cmd_segment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for wav in wavs:
-        clip = resample(read_wav(wav), CANONICAL_RATE_HZ)
-        if len(clip.samples) == 0:
-            continue
-        segments = detect_nonsilent(clip, seg_cfg, event_prefix=wav.stem)
-        for seg in segments:
-            if np.abs(seg.samples).max() == 0.0:
-                continue  # zero-energy span: nothing trainable in it
+        for seg in _recording_events(wav, seg_cfg):
             write_wav(out_dir / f"{seg.event_id}.wav", AudioClip(seg.samples, CANONICAL_RATE_HZ))
             index.append({
                 "event_id": seg.event_id,
@@ -146,7 +120,7 @@ def cmd_segment(args) -> int:
 def cmd_featurize(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(args.config, config)
+    feat_cfg = _section(args.config, config, "features", FeatureConfig, {})
     in_path = Path(args.in_path)
     clip = read_wav(in_path)
     grids = pipeline.featurise(pipeline.frames_of_clip(clip, in_path.stem, seg_cfg), feat_cfg)
@@ -209,7 +183,7 @@ def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
 def cmd_train(args) -> int:
     config = _load_config(args.config)
     seg_cfg = _seg_config(args, config)
-    feat_cfg = _feat_config(args.config, config)
+    feat_cfg = _section(args.config, config, "features", FeatureConfig, {})
     cfg = _section(args.config, config, "train", models.TrainConfig, {
         "dimension": args.dim, "epochs": args.epochs, "batch_size": args.batch,
         "learning_rate": args.lr, "seed": args.seed,
@@ -255,10 +229,8 @@ def cmd_project(args) -> int:
     elif args.hist:
         raise ValueError("--hist needs a labeled manifest input")
     else:
-        clip = resample(read_wav(in_path), CANONICAL_RATE_HZ)
         events = [(seg.event_id, pipeline.featurise(frame_segment(seg, seg_cfg), feat_cfg))
-                  for seg in detect_nonsilent(clip, seg_cfg, event_prefix=in_path.stem)
-                  if np.abs(seg.samples).max() > 0.0]
+                  for seg in _recording_events(in_path, seg_cfg)]
 
     points = [projection.project_event(arousal_ckpt, valence_ckpt, event_id, grids)
               for event_id, grids in events]

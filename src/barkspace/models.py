@@ -16,20 +16,24 @@ it runs the network in fixed chunks, which is exact because ``forward`` is
 batch-invariant, so an event scores the same bits alone or inside any batch.
 
 Checkpoints are a self-describing binary container ("BDN1"): JSON metadata,
-raw float32 tensors, and a trailing CRC32.
+raw float32 tensors, and a trailing CRC32. Configs and layers are written
+with ``asdict`` and read back by ``from_json``, the one typed reader that
+also builds ``--config`` sections.
 """
 
 import json
 import math
 import struct
+import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import neuralnet as nn
+from .audio_io import CANONICAL_RATE_HZ
 from .evaluation import Boundaries, event_score
 from .features import FeatureConfig
 from .labels import DIMENSIONS, OrdinalLabel, label_from_value
@@ -42,6 +46,56 @@ CHECKPOINT_VERSION = 1
 
 class CheckpointError(Exception):
     """Unreadable, corrupt, or mismatched checkpoint file."""
+
+
+def from_json(cls, values, where: str):
+    """``cls(**values)`` for a JSON object ``values``, typed by ``cls``'s fields.
+
+    Every key must name a field and every value must fit the field's
+    annotation, a class or a union of classes: an int fits a float field and
+    is stored as a float, and a bool fits no field. ``cls`` then checks the
+    values themselves. Raises ValueError naming ``where`` when any of this
+    fails.
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    typed = {}
+    try:
+        for key, value in values.items():
+            if key not in hints:
+                raise ValueError(f"unknown key {key!r}")
+            kinds = typing.get_args(hints[key]) or (hints[key],)
+            if float in kinds and type(value) is int:
+                value = float(value)  # OverflowError past the float range
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{key!r} cannot be {value!r}")
+            typed[key] = value
+        return cls(**typed)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+# a layer's tag in checkpoint metadata is its class name in lower case
+_LAYER_KINDS = {cls.__name__.lower(): cls for cls in typing.get_args(nn.Layer)}
+
+
+def _layer_from_json(entry, where: str) -> nn.Layer:
+    """The layer a checkpoint's ``{"kind": tag, **fields}`` entry describes."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    fields = dict(entry)
+    kind = fields.pop("kind", None)
+    if not (isinstance(kind, str) and kind in _LAYER_KINDS):
+        raise ValueError(f"{where}: unknown layer kind {kind!r}")
+    return from_json(_LAYER_KINDS[kind], fields, where)
+
+
+def _check_head(spec: nn.NetSpec) -> nn.NetSpec:
+    """``spec``, whose layer chain must hold and end in one output: the score."""
+    if spec.output_shape != (1,):
+        raise ValueError("regression head must end in dense(1)")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -158,8 +212,7 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
 
 def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, examples,
          net_spec: Optional[nn.NetSpec], feature_config: Optional[FeatureConfig],
-         segmentation_config: Optional[SegmentationConfig],
-         sample_rate_hz: int) -> TrainResult:
+         segmentation_config: Optional[SegmentationConfig]) -> TrainResult:
     """Adam on the MSE between each example's prediction and its target.
 
     ``examples(labels, epoch)`` gives frame indices ``first`` and ``second``
@@ -173,9 +226,7 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     _check_training_set(values)
     labels = [label_from_value(float(v)) for v in values]
     x = _stack_features([f for f, _ in train_frames])
-    spec = net_spec or nn.default_net_spec(input_shape=tuple(x.shape[1:]))
-    if spec.output_shape != (1,):
-        raise ValueError("regression head must end in dense(1)")
+    spec = _check_head(net_spec or nn.default_net_spec(input_shape=tuple(x.shape[1:])))
 
     params = nn.init_params(spec, cfg.seed, dtype=np.float32)
     state = nn.init_adam(params)
@@ -202,29 +253,26 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     ckpt = Checkpoint(dimension=cfg.dimension, seed=cfg.seed, net_spec=spec, params=params,
                       feature_config=feature_config or FeatureConfig(),
                       segmentation_config=segmentation_config or SegmentationConfig(),
-                      sample_rate_hz=sample_rate_hz)
+                      sample_rate_hz=CANONICAL_RATE_HZ)
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
 
 def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
                    *, net_spec: Optional[nn.NetSpec] = None,
                    feature_config: Optional[FeatureConfig] = None,
-                   segmentation_config: Optional[SegmentationConfig] = None,
-                   sample_rate_hz: int = 22050) -> TrainResult:
+                   segmentation_config: Optional[SegmentationConfig] = None) -> TrainResult:
     """Mean-squared-error regression of the numeric label value of each frame."""
     def examples(labels, epoch):
         return (np.arange(len(labels)), None,
                 np.asarray([l.numeric for l in labels], dtype=np.float32))
 
-    return _fit(train_frames, cfg, examples, net_spec, feature_config,
-                segmentation_config, sample_rate_hz)
+    return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
 def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
                   *, net_spec: Optional[nn.NetSpec] = None,
                   feature_config: Optional[FeatureConfig] = None,
-                  segmentation_config: Optional[SegmentationConfig] = None,
-                  sample_rate_hz: int = 22050) -> TrainResult:
+                  segmentation_config: Optional[SegmentationConfig] = None) -> TrainResult:
     """Train the shared head to regress ordered numeric label differences.
 
     Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
@@ -236,8 +284,7 @@ def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainCo
         ia, ib, target = zip(*pairs)
         return np.asarray(ia), np.asarray(ib), np.asarray(target, dtype=np.float32)
 
-    return _fit(train_frames, cfg, examples, net_spec, feature_config,
-                segmentation_config, sample_rate_hz)
+    return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
 def _as_net_input(spec: nn.NetSpec, x: np.ndarray, dtype) -> np.ndarray:
@@ -276,38 +323,6 @@ def predict_many(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> np.ndarray
 def predict_event(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> float:
     """Event score of one event's feature grids: ``event_score`` of their scores."""
     return event_score(predict_many(ckpt, features))
-
-
-def _layer_to_dict(layer: nn.Layer) -> dict:
-    if isinstance(layer, nn.Conv2d):
-        return {"kind": "conv2d", "out_channels": layer.out_channels,
-                "kernel_h": layer.kernel_h, "kernel_w": layer.kernel_w}
-    if isinstance(layer, nn.Relu):
-        return {"kind": "relu"}
-    if isinstance(layer, nn.MaxPool2x2):
-        return {"kind": "maxpool2x2"}
-    if isinstance(layer, nn.Flatten):
-        return {"kind": "flatten"}
-    if isinstance(layer, nn.Dense):
-        return {"kind": "dense", "out_units": layer.out_units}
-    raise ValueError(f"unknown layer {layer!r}")
-
-
-def _layer_from_dict(d: dict) -> nn.Layer:
-    if not isinstance(d, dict):
-        raise CheckpointError(f"layer entry {d!r} is not an object")
-    kind = d.get("kind")
-    if kind == "conv2d":
-        return nn.Conv2d(d["out_channels"], d["kernel_h"], d["kernel_w"])
-    if kind == "relu":
-        return nn.Relu()
-    if kind == "maxpool2x2":
-        return nn.MaxPool2x2()
-    if kind == "flatten":
-        return nn.Flatten()
-    if kind == "dense":
-        return nn.Dense(d["out_units"])
-    raise CheckpointError(f"unknown layer kind {kind!r}")
 
 
 def _pack_container(magic: bytes, meta: dict, tensors) -> bytes:
@@ -394,45 +409,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "sample_rate_hz": ckpt.sample_rate_hz,
         "net_spec": {
             "input_shape": list(ckpt.net_spec.input_shape),
-            "layers": [_layer_to_dict(l) for l in ckpt.net_spec.layers],
+            "layers": [{"kind": type(l).__name__.lower(), **asdict(l)}
+                       for l in ckpt.net_spec.layers],
         },
-        "feature_config": {
-            "n_fft": ckpt.feature_config.n_fft,
-            "hop": ckpt.feature_config.hop,
-            "n_mels": ckpt.feature_config.n_mels,
-            "fmin": ckpt.feature_config.fmin,
-            "fmax": ckpt.feature_config.fmax,
-            "db_floor": ckpt.feature_config.db_floor,
-        },
-        "segmentation_config": {
-            "top_db": ckpt.segmentation_config.top_db,
-            "target_len": ckpt.segmentation_config.target_len,
-            "stride": ckpt.segmentation_config.stride,
-            "detect_frame_len": ckpt.segmentation_config.detect_frame_len,
-            "detect_hop": ckpt.segmentation_config.detect_hop,
-        },
-        "boundaries": None if ckpt.boundaries is None else
-            {"t_low": ckpt.boundaries.t_low, "t_high": ckpt.boundaries.t_high},
+        "feature_config": asdict(ckpt.feature_config),
+        "segmentation_config": asdict(ckpt.segmentation_config),
+        "boundaries": None if ckpt.boundaries is None else asdict(ckpt.boundaries),
     }
     Path(path).write_bytes(
         _pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors()))
     )
-
-
-def _param_shapes(spec: nn.NetSpec) -> dict:
-    """{tensor name: shape} for every tensor a checkpoint of ``spec`` holds."""
-    shapes = {}
-    in_shape = tuple(spec.input_shape)
-    for i, (layer, out_shape) in enumerate(zip(spec.layers, spec.output_shapes())):
-        if isinstance(layer, nn.Conv2d):
-            shapes[f"layer{i}.weight"] = (layer.out_channels, in_shape[0],
-                                          layer.kernel_h, layer.kernel_w)
-        elif isinstance(layer, nn.Dense):
-            shapes[f"layer{i}.weight"] = (layer.out_units, in_shape[0])
-        if isinstance(layer, (nn.Conv2d, nn.Dense)):
-            shapes[f"layer{i}.bias"] = (out_shape[0],)
-        in_shape = out_shape
-    return shapes
 
 
 # float32 activations stay finite while every exact value is at most half the
@@ -474,10 +460,11 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     """Read and verify a BDN1 container.
 
     Raises CheckpointError on a bad magic, version mismatch, truncation,
-    checksum failure, missing or mistyped metadata, a missing, unknown,
-    misshapen or non-finite tensor, weights that could drive an activation
-    past the float32 range, or (when ``dimension`` is given) a dimension-tag
-    mismatch.
+    checksum failure, missing or mistyped metadata (configs and layers are
+    read by ``from_json``), a rate other than ``CANONICAL_RATE_HZ``, a net
+    without one output, a missing, unknown, misshapen or non-finite tensor,
+    weights that could drive an activation past the float32 range, or (when
+    ``dimension`` is given) a dimension-tag mismatch.
     """
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     if not isinstance(meta, dict):
@@ -491,23 +478,23 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
         raise CheckpointError(f"{path}: dimension tag is {tag!r}, expected {dimension!r}")
     seed = _meta_field(meta, "seed", int, path)
     sample_rate_hz = _meta_field(meta, "sample_rate_hz", int, path)
+    if sample_rate_hz != CANONICAL_RATE_HZ:  # every command featurises at this rate
+        raise CheckpointError(f"{path}: sample_rate_hz is {sample_rate_hz}, not {CANONICAL_RATE_HZ}")
     net = _meta_field(meta, "net_spec", dict, path)
-    fc = _meta_field(meta, "feature_config", dict, path)
-    sc = _meta_field(meta, "segmentation_config", dict, path)
     b = meta.get("boundaries")
-    # the dataclass constructors and the spec's shape chain check the values
     try:
-        spec = nn.NetSpec(
+        spec = _check_head(nn.NetSpec(
             input_shape=tuple(_meta_field(net, "input_shape", list, path)),
-            layers=tuple(_layer_from_dict(d) for d in _meta_field(net, "layers", list, path)),
-        )
-        spec.output_shapes()
-        feature_config = FeatureConfig(**fc)
-        segmentation_config = SegmentationConfig(**sc)
-        boundaries = None if b is None else Boundaries(float(b["t_low"]), float(b["t_high"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed metadata: {exc!r}") from exc
-    shapes = _param_shapes(spec)
+            layers=tuple(_layer_from_json(d, f"net_spec layer {i}")
+                         for i, d in enumerate(_meta_field(net, "layers", list, path))),
+        ))
+        shapes = nn.param_shapes(spec)
+        feature_config = from_json(FeatureConfig, meta.get("feature_config"), "feature_config")
+        segmentation_config = from_json(SegmentationConfig, meta.get("segmentation_config"),
+                                        "segmentation_config")
+        boundaries = None if b is None else from_json(Boundaries, b, "boundaries")
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
     for name, arr in tensors.items():
         if name not in shapes:
             raise CheckpointError(f"{path}: unknown tensor {name!r}")

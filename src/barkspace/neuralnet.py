@@ -51,6 +51,7 @@ any number of tapes stay valid side by side.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -68,6 +69,10 @@ class Conv2d:
     out_channels: int
     kernel_h: int
     kernel_w: int
+
+    def __post_init__(self):
+        if not min(self.out_channels, self.kernel_h, self.kernel_w) > 0:
+            raise ValueError("conv2d out_channels and kernel sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,10 @@ class Flatten:
 @dataclass(frozen=True)
 class Dense:
     out_units: int
+
+    def __post_init__(self):
+        if not self.out_units > 0:
+            raise ValueError("dense out_units must be positive")
 
 
 Layer = Union[Conv2d, Relu, MaxPool2x2, Flatten, Dense]
@@ -134,7 +143,7 @@ class NetSpec:
 
     @property
     def output_shape(self) -> tuple:
-        return self.output_shapes()[-1]
+        return ([tuple(self.input_shape)] + self.output_shapes())[-1]
 
 
 def default_net_spec(input_shape: tuple[int, int, int] = (1, 64, 37)) -> NetSpec:
@@ -267,6 +276,24 @@ class Params:
                 yield f"layer{i}.bias", entry["b"]
 
 
+def param_shapes(spec: NetSpec) -> dict:
+    """{tensor name: shape} of every weight and bias of ``spec``, named and
+    ordered as ``Params.tensors`` yields them; raises ValueError on an
+    inconsistent chain."""
+    shapes = {}
+    in_shape = tuple(spec.input_shape)
+    for i, (layer, out_shape) in enumerate(zip(spec.layers, spec.output_shapes())):
+        if isinstance(layer, Conv2d):
+            shapes[f"layer{i}.weight"] = (layer.out_channels, in_shape[0],
+                                          layer.kernel_h, layer.kernel_w)
+        elif isinstance(layer, Dense):
+            shapes[f"layer{i}.weight"] = (layer.out_units, in_shape[0])
+        if isinstance(layer, (Conv2d, Dense)):
+            shapes[f"layer{i}.bias"] = (out_shape[0],)
+        in_shape = out_shape
+    return shapes
+
+
 def init_params(spec: NetSpec, seed: int, dtype=np.float64) -> Params:
     """Uniform weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases.
 
@@ -274,32 +301,17 @@ def init_params(spec: NetSpec, seed: int, dtype=np.float64) -> Params:
     row-major within each tensor, so the result is a pure function of
     (spec, seed).
     """
-    spec.output_shapes()  # validates the chain
+    shapes = param_shapes(spec)
     rng = XorShift64Star(seed)
     layers = []
-    shape: tuple = tuple(spec.input_shape)
-    for layer in spec.layers:
-        if isinstance(layer, Conv2d):
-            c = shape[0]
-            fan_in = c * layer.kernel_h * layer.kernel_w
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(layer.out_channels * fan_in, -bound, bound).reshape(
-                layer.out_channels, c, layer.kernel_h, layer.kernel_w
-            )
-            layers.append({"w": w.astype(dtype), "b": np.zeros(layer.out_channels, dtype=dtype)})
-            shape = (layer.out_channels, shape[1] - layer.kernel_h + 1, shape[2] - layer.kernel_w + 1)
-        elif isinstance(layer, Dense):
-            fan_in = shape[0]
-            bound = 1.0 / np.sqrt(fan_in)
-            w = rng.uniform(layer.out_units * fan_in, -bound, bound).reshape(layer.out_units, fan_in)
-            layers.append({"w": w.astype(dtype), "b": np.zeros(layer.out_units, dtype=dtype)})
-            shape = (layer.out_units,)
-        else:
+    for i in range(len(spec.layers)):
+        w_shape = shapes.get(f"layer{i}.weight")
+        if w_shape is None:
             layers.append(None)
-            if isinstance(layer, MaxPool2x2):
-                shape = (shape[0], shape[1] // 2, shape[2] // 2)
-            elif isinstance(layer, Flatten):
-                shape = (int(np.prod(shape)),)
+            continue
+        bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))  # a weight row spans the fan-in
+        w = rng.uniform(math.prod(w_shape), -bound, bound).reshape(w_shape)
+        layers.append({"w": w.astype(dtype), "b": np.zeros(shapes[f"layer{i}.bias"], dtype=dtype)})
     return Params(layers=layers, seed=int(seed))
 
 

@@ -118,7 +118,6 @@ def train_dimension(events: Sequence[EventData], model_kind: str,
         net_spec=net_spec,
         feature_config=feat_cfg or FeatureConfig(),
         segmentation_config=seg_cfg or SegmentationConfig(),
-        sample_rate_hz=CANONICAL_RATE_HZ,
     )
     grids = [g for g, _ in frames]
     labels = [ev.label(cfg.dimension) for ev in events for _ in ev.features]

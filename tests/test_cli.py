@@ -1,6 +1,8 @@
 import json
+import math
 import shutil
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from barkspace.features import FeatureConfig
 from barkspace.models import (CHECKPOINT_MAGIC, _pack_container, load_checkpoint,
                               save_checkpoint)
 from barkspace.projection import load_points, neutral_point
+from barkspace.segmentation import SegmentationConfig
 
 SR = 22050
 
@@ -197,6 +200,57 @@ def test_eval_misshapen_tensor_is_data_error_before_featurising(checkpoints, tmp
     assert "layer7.weight" in capsys.readouterr().err
 
 
+def _as_float(section, key):
+    def mutate(meta, tensors):
+        meta[section][key] = float(meta[section][key])
+    return mutate
+
+
+def _relabel_layer(index, **fields):
+    def mutate(meta, tensors):
+        meta["net_spec"]["layers"][index].update(fields)
+    return mutate
+
+
+def _head_of(width):
+    """The default net with a last dense layer of ``width`` outputs, tensors to match."""
+    def mutate(meta, tensors):
+        meta["net_spec"]["layers"][9]["out_units"] = width
+        tensors["layer9.weight"] = np.zeros((width, 64), np.float32)
+        tensors["layer9.bias"] = np.zeros(width, np.float32)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_as_float("feature_config", "n_fft"), id="n-fft-float"),
+    pytest.param(_as_float("feature_config", "n_mels"), id="n-mels-float"),
+    pytest.param(_as_float("feature_config", "hop"), id="hop-float"),
+    pytest.param(_as_float("segmentation_config", "target_len"), id="target-len-float"),
+    pytest.param(_as_float("segmentation_config", "stride"), id="stride-float"),
+    pytest.param(_head_of(0), id="dense-0-head"),
+    pytest.param(_head_of(2), id="dense-2-head"),
+    pytest.param(lambda m, t: m["segmentation_config"].update(top_db=True), id="top-db-true"),
+    pytest.param(_relabel_layer(0, stride=1), id="layer-unknown-key"),
+    pytest.param(_relabel_layer(0, out_channels=8.0), id="out-channels-float"),
+    pytest.param(lambda m, t: m.update(sample_rate_hz=44100), id="sample-rate-44100"),
+])
+def test_eval_malformed_checkpoint_metadata_is_data_error(checkpoints, split_manifest,
+                                                          tmp_path, capsys, mutate):
+    """Each of these once loaded, and ``eval`` exited 3, or 0 on a wrong model."""
+    blob = checkpoints["arousal"].read_bytes()
+    meta = json.loads(blob[8 : 8 + int.from_bytes(blob[4:8], "little")])
+    tensors = dict(load_checkpoint(checkpoints["arousal"]).params.tensors())
+    mutate(meta, tensors)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
+    report = tmp_path / "r.json"
+    code = run("eval", "--model", str(bad), "--manifest", str(split_manifest),
+               "--report", str(report))
+    err = capsys.readouterr().err
+    assert code == 2 and not report.exists()
+    assert err.count(str(bad)) == 1 and "internal error" not in err
+
+
 def test_eval_and_project_give_bit_equal_event_scores(checkpoints, corpus_dir, tmp_path,
                                                       monkeypatch):
     scored = {}
@@ -324,6 +378,19 @@ def test_segment_silent_input_gives_empty_index(tmp_path):
     assert json.loads((out / "index.json").read_text()) == []
 
 
+def test_empty_recording_has_no_events(checkpoints, tmp_path):
+    """A 0-sample WAV: ``segment`` writes an empty index, ``project`` a header-only file."""
+    wav = tmp_path / "empty.wav"
+    write_wav(wav, AudioClip(np.zeros(0), SR))
+    assert run("segment", "--in", str(wav), "--out", str(tmp_path / "events")) == 0
+    assert json.loads((tmp_path / "events" / "index.json").read_text()) == []
+    out = tmp_path / "points.csv"
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(checkpoints["valence"]), "--in", str(wav),
+               "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 1 and load_points(out) == []
+
+
 def test_segment_empty_dir_gives_empty_index(tmp_path):
     src = tmp_path / "src"
     src.mkdir()
@@ -396,6 +463,21 @@ def test_config_file_overrides(corpus_dir, tmp_path):
     assert load_checkpoint(tmp_path / "file-seed.ckpt").seed == 5
 
 
+def test_equal_config_values_give_equal_checkpoint_bytes(corpus_dir, tmp_path):
+    """An int for a float field is stored as the float it equals."""
+    blobs = []
+    for fmin, fmax, top_db in ((0, 11025, 20), (0.0, 11025.0, 20.0)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": {"fmin": fmin, "fmax": fmax},
+                                   "segmentation": {"top_db": top_db}}))
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+                   "--model", "baseline", "--epochs", "1", "--batch", "16", "--config",
+                   str(cfg), "--out", str(out)) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command, flag", [
     ("segment", "--top-db"), ("train", "--lr"), ("synth", "--dur-min"), ("synth", "--dur-max"),
@@ -435,18 +517,37 @@ def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+def _config_sweep():
+    """The --config route of the config sweep: NaN and +-inf for every float
+    field of the three sections; a float, a bool and a string for every int
+    field."""
+    sections = {"features": FeatureConfig(), "segmentation": SegmentationConfig(),
+                "train": models.TrainConfig(dimension="valence", pairs_per_epoch=30)}
+    for section, cfg in sections.items():
+        for name, value in asdict(cfg).items():
+            if name == "dimension":
+                continue
+            if name in ("fmin", "fmax", "db_floor", "top_db", "learning_rate"):
+                wrong = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+            else:
+                wrong = [("float", float(value)), ("bool", True), ("str", str(value))]
+            for label, bad in wrong:
+                yield pytest.param({section: {name: bad}}, section,
+                                   id=f"{section}-{name.replace('_', '-')}-{label}")
+
+
 @pytest.mark.parametrize("config, section", [
-    ({"train": {"epoch": 3}}, "train"),
-    ({"features": {"nfft": 256}}, "features"),
-    ({"segmentation": [1, 2]}, "segmentation"),
-    ({"features": {"n_fft": "512"}}, "features"),
-    ({"train": {"epochs": 2.5}}, "train"),
-    ({"train": {"pairs_per_epoch": True}}, "train"),
-    ({"segmentation": {"stride": 0}}, "segmentation"),
-    ({"segmentation": {"top_db": float("nan")}}, "segmentation"),
-    ({"train": {"learning_rate": float("inf")}}, "train"),
-], ids=["unknown-train-key", "unknown-feature-key", "section-not-object", "string-for-int",
-        "float-for-int", "bool-for-int", "rejected-value", "nan", "infinity"])
+    pytest.param({"train": {"epoch": 3}}, "train", id="unknown-train-key"),
+    pytest.param({"features": {"nfft": 256}}, "features", id="unknown-feature-key"),
+    pytest.param({"segmentation": [1, 2]}, "segmentation", id="section-not-object"),
+    pytest.param({"features": {"n_fft": "512"}}, "features", id="string-for-int"),
+    pytest.param({"train": {"epochs": 2.5}}, "train", id="float-for-int"),
+    pytest.param({"train": {"pairs_per_epoch": True}}, "train", id="bool-for-int"),
+    pytest.param({"segmentation": {"stride": 0}}, "segmentation", id="rejected-value"),
+    pytest.param({"segmentation": {"top_db": float("nan")}}, "segmentation", id="nan"),
+    pytest.param({"train": {"learning_rate": float("inf")}}, "train", id="infinity"),
+    *_config_sweep(),
+])
 def test_malformed_config_is_data_error_and_saves_nothing(corpus_dir, tmp_path, capsys,
                                                           config, section):
     cfg = tmp_path / "cfg.json"

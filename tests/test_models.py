@@ -1,7 +1,9 @@
 import json
+import math
 import struct
 import zlib
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
 from barkspace.models import (CHECKPOINT_MAGIC, TENSOR_FILE_MAGIC, Checkpoint,
-                              CheckpointError, TrainConfig, _pack_container, load_checkpoint,
-                              load_tensor_file, make_pairs, predict_event,
+                              CheckpointError, TrainConfig, _pack_container, from_json,
+                              load_checkpoint, load_tensor_file, make_pairs, predict_event,
                               predict_many, save_checkpoint, save_tensor_file,
                               siamese_forward, train_baseline, train_siamese)
 from barkspace.segmentation import SegmentationConfig
@@ -25,6 +27,12 @@ TOY_SPEC = nn.NetSpec(TOY_SHAPE, (nn.Conv2d(4, 3, 3), nn.Relu(), nn.MaxPool2x2()
                                   nn.Flatten(), nn.Dense(8), nn.Relu(), nn.Dense(1)))
 
 H, M, L = OrdinalLabel.HIGH, OrdinalLabel.MEDIUM, OrdinalLabel.LOW
+
+# a value other than the default in every field
+CUSTOM_FEATURES = FeatureConfig(n_fft=256, hop=64, n_mels=16, fmin=50.0, fmax=8000.0,
+                                db_floor=-60.0)
+CUSTOM_SEGMENTATION = SegmentationConfig(top_db=30.0, target_len=1024, stride=512,
+                                         detect_frame_len=512, detect_hop=128)
 
 
 def toy_grid(label, rng):
@@ -348,6 +356,37 @@ def _saved_meta(tmp_path, ckpt):
     return json.loads(blob[8 : 8 + meta_len])
 
 
+def _setter(*keys, value):
+    """A metadata mutation that sets ``meta[keys[0]][keys[1]]...`` to ``value``."""
+    def mutate(meta):
+        for key in keys[:-1]:
+            meta = meta[key]
+        meta[keys[-1]] = value
+    return mutate
+
+
+def _wrong_kinds():
+    """The checkpoint route of the config sweep: NaN and +-inf for every float
+    field of the two configs; a float, a bool and a string for every int field
+    of the configs and of the toy net's layers (layer 0 conv2d, layer 4 dense)."""
+    fields = [(section, name, value)
+              for section, cfg in (("feature_config", FeatureConfig()),
+                                   ("segmentation_config", SegmentationConfig()))
+              for name, value in asdict(cfg).items()]
+    fields += [(("net_spec", "layers", i), name, value)
+               for i in (0, 4) for name, value in asdict(TOY_SPEC.layers[i]).items()]
+    for where, name, value in fields:
+        if name in ("fmin", "fmax", "db_floor", "top_db"):
+            wrong = [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)]
+        else:
+            wrong = [("float", float(value)), ("bool", True), ("str", str(value))]
+        keys = where if isinstance(where, tuple) else (where,)
+        prefix = "layer-" if isinstance(where, tuple) else ""
+        for label, bad in wrong:
+            yield pytest.param(_setter(*keys, name, value=bad),
+                               id=f"{prefix}{name.replace('_', '-')}-{label}")
+
+
 @pytest.mark.parametrize("mutate", [
     pytest.param(lambda m: m.pop("net_spec"), id="no-net-spec"),
     pytest.param(lambda m: m.pop("seed"), id="no-seed"),
@@ -364,13 +403,16 @@ def _saved_meta(tmp_path, ckpt):
     pytest.param(lambda m: m.update(segmentation_config=None), id="segmentation-null"),
     pytest.param(lambda m: m.update(boundaries={"t_low": 1.0}), id="boundaries-partial"),
     pytest.param(lambda m: m.update(boundaries=[0.0, 1.0]), id="boundaries-list"),
-    pytest.param(lambda m: m["segmentation_config"].update(top_db=float("nan")),
-                 id="top-db-nan"),
-    pytest.param(lambda m: m["feature_config"].update(db_floor=float("nan")), id="db-floor-nan"),
-    pytest.param(lambda m: m["feature_config"].update(fmin=float("nan")), id="fmin-nan"),
-    pytest.param(lambda m: m["feature_config"].update(fmax=float("nan")), id="fmax-nan"),
     pytest.param(lambda m: m["feature_config"].update(n_mels=float("nan")), id="n-mels-nan"),
     pytest.param(lambda m: m["boundaries"].update(t_low=float("nan")), id="boundary-nan"),
+    pytest.param(lambda m: m["boundaries"].update(t_high="0.5"), id="boundary-str"),
+    pytest.param(lambda m: m["segmentation_config"].update(top_db=True), id="top-db-bool"),
+    pytest.param(lambda m: m["net_spec"]["layers"][0].update(stride=1), id="layer-unknown-key"),
+    pytest.param(lambda m: m["net_spec"]["layers"][1].update(kind="gelu"), id="layer-kind-unknown"),
+    pytest.param(lambda m: m["net_spec"]["layers"][1].update(kind=["relu"]), id="layer-kind-list"),
+    pytest.param(lambda m: m["net_spec"].update(layers=[]), id="layers-empty"),
+    pytest.param(lambda m: m.update(sample_rate_hz=44100), id="sample-rate-44100"),
+    *_wrong_kinds(),
 ])
 def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
     ckpt = toy_checkpoint(boundaries=Boundaries(-0.5, 0.5))
@@ -400,6 +442,55 @@ def test_checkpoint_tensors_must_fit_the_spec(tmp_path, edit, name):
     path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
     with pytest.raises(CheckpointError, match=name):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("out_units", [2, 0])
+def test_checkpoint_head_must_have_one_output(tmp_path, out_units):
+    """A wider head's first output would be scored as if it were the score,
+    and an empty one cannot be scored; neither is trained nor loaded."""
+    ckpt = toy_checkpoint()
+    meta = _saved_meta(tmp_path, ckpt)
+    meta["net_spec"]["layers"][6]["out_units"] = out_units
+    tensors = dict(ckpt.params.tensors(), **{"layer6.weight": np.zeros((out_units, 8), np.float32),
+                                             "layer6.bias": np.zeros(out_units, np.float32)})
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
+    reason = ("regression head must end in dense(1)" if out_units
+              else "net_spec layer 6: dense out_units must be positive")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: malformed metadata: {reason}"
+    if out_units:
+        wide = nn.NetSpec(TOY_SHAPE, TOY_SPEC.layers[:-1] + (nn.Dense(out_units),))
+        with pytest.raises(ValueError, match=r"dense\(1\)"):
+            train_baseline(toy_set(2), TrainConfig(dimension="arousal", epochs=1), net_spec=wide)
+
+
+@pytest.mark.parametrize("x", [
+    FeatureConfig(), CUSTOM_FEATURES, SegmentationConfig(), CUSTOM_SEGMENTATION,
+    TrainConfig(dimension="valence", pairs_per_epoch=10), Boundaries(-0.25, math.inf),
+    nn.Conv2d(4, 3, 5), nn.Relu(), nn.MaxPool2x2(), nn.Flatten(), nn.Dense(7),
+], ids=lambda x: type(x).__name__)
+def test_from_json_reads_back_asdict(x):
+    assert from_json(type(x), asdict(x), "x") == x
+
+
+def test_from_json_stores_an_int_for_a_float_as_a_float():
+    cfg = from_json(FeatureConfig, {"fmin": 0, "fmax": 11025}, "features")
+    assert type(cfg.fmin) is float and type(cfg.fmax) is float
+    assert type(from_json(FeatureConfig, {"fmin": 0}, "features").fmax) is type(None)
+    with pytest.raises(ValueError, match="^features: 'fmax' cannot be True$"):
+        from_json(FeatureConfig, {"fmax": True}, "features")
+    with pytest.raises(ValueError, match="^features: int too large"):
+        from_json(FeatureConfig, {"fmax": 10**400}, "features")
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    ckpt = toy_checkpoint(seed=5, boundaries=Boundaries(-0.5, 0.25))
+    ckpt.feature_config, ckpt.segmentation_config = CUSTOM_FEATURES, CUSTOM_SEGMENTATION
+    save_checkpoint(ckpt, tmp_path / "a.ckpt")
+    save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_metadata_not_an_object(tmp_path):

@@ -20,6 +20,7 @@ def test_init_is_deterministic_and_shaped():
     assert a.layers[0]["b"].shape == (2,)
     assert a.layers[3]["w"].shape == (1, 2 * 4 * 3)
     assert a.layers[3]["b"].shape == (1,)
+    assert [(n, t.shape) for n, t in a.tensors()] == list(nn.param_shapes(TINY).items())
     for (n1, t1), (n2, t2) in zip(a.tensors(), b.tensors()):
         assert n1 == n2 and np.array_equal(t1, t2)
     assert any(not np.array_equal(t1, t2)
@@ -38,6 +39,15 @@ def test_init_rejects_inconsistent_spec():
     bad = nn.NetSpec((1, 2, 2), (nn.Conv2d(1, 3, 3),))
     with pytest.raises(ValueError):
         nn.init_params(bad, 0)
+
+
+@pytest.mark.parametrize("make", [lambda: nn.Conv2d(0, 3, 3), lambda: nn.Conv2d(2, 0, 3),
+                                  lambda: nn.Conv2d(2, 3, -1), lambda: nn.Dense(0)],
+                         ids=["conv-no-channels", "conv-kernel-0", "conv-kernel-negative",
+                              "dense-no-units"])
+def test_layer_sizes_must_be_positive(make):
+    with pytest.raises(ValueError, match="must be positive"):
+        make()
 
 
 def test_forward_zero_weights_zero_input():
