@@ -17,7 +17,7 @@ from .audio_io import (CANONICAL_RATE_HZ, AudioClip, UnsupportedWavError,
                        WavFormatError, read_wav, resample, write_wav)
 from .corpus import (ManifestError, SynthConfig, load_manifest, save_manifest,
                      synth_corpus)
-from .evaluation import UndefinedMetricError, evaluate, event_level_split
+from .evaluation import UndefinedMetricError, class_histograms, evaluate, event_level_split
 from .features import FeatureConfig
 from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
 
@@ -242,25 +242,15 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _write_projection_histograms(path, events, points, n_bins: int = 50):
-    """Per-class histograms of raw event scores for each dimension.
+def _write_projection_histograms(path, events, points):
+    """``class_histograms`` of the raw event scores of each dimension.
 
     The scores are the ones ``project_event`` computed for ``points``, which
     hold one point per event, in order.
     """
-    out = {}
-    for dim, raw in (("arousal", [p.arousal_score for p in points]),
-                     ("valence", [p.valence_score for p in points])):
-        scores = np.asarray(raw)
-        names = [ev.label(dim).name.lower() for ev in events]
-        edges = np.histogram_bin_edges(scores, bins=n_bins)
-        out[dim] = {
-            "bin_edges": edges.tolist(),
-            "histograms": {
-                key: np.histogram(scores[[n == key for n in names]], bins=edges)[0].tolist()
-                for key in ("low", "medium", "high")
-            },
-        }
+    out = {dim: class_histograms([getattr(p, f"{dim}_score") for p in points],
+                                 [ev.label(dim) for ev in events])
+           for dim in ("arousal", "valence")}
     Path(path).write_text(json.dumps(out, indent=2))
 
 

@@ -4,17 +4,21 @@ Continuous regression outputs are mapped back to the three ordinal labels
 with two thresholds fitted on training-set predictions. Turn-around
 percentage (TAP) is the share of extreme-class instances misclassified as
 the opposite extreme, the ordinal error that plain accuracy fails to weight.
+
+Every per-class score histogram, of frame scores in a report and of event
+scores in ``project --hist``, comes from ``class_histograms``.
 """
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
 from .labels import OrdinalLabel
 
 _LABEL_KEYS = ("low", "medium", "high")
+HISTOGRAM_BINS = 50
 
 
 class UndefinedMetricError(Exception):
@@ -197,8 +201,8 @@ class EvalReport:
     """Calibrated boundaries plus metrics at both granularities.
 
     The headline tap_percent and confusion are event-level; frame-level
-    counterparts carry a frame_ prefix. Histograms are per-true-class counts
-    of frame-level predictions over shared bin edges.
+    counterparts carry a frame_ prefix. Histograms are ``class_histograms``
+    of the frame-level predictions. The JSON form holds one key per field.
     """
 
     dimension: str
@@ -215,44 +219,27 @@ class EvalReport:
     n_frames: int
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "boundaries": {"t_low": self.boundaries.t_low, "t_high": self.boundaries.t_high},
-            "frame_accuracy": self.frame_accuracy,
-            "event_accuracy": self.event_accuracy,
-            "tap_percent": self.tap_percent,
-            "frame_tap_percent": self.frame_tap_percent,
-            "confusion": self.confusion.to_dict(),
-            "frame_confusion": self.frame_confusion.to_dict(),
-            "histograms": self.histograms,
-            "bin_edges": self.bin_edges,
-            "n_events": self.n_events,
-            "n_frames": self.n_frames,
-        }
+        return {f.name: _REPORT_CODECS.get(f.name, _AS_IS)[0](getattr(self, f.name))
+                for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(
-            dimension=d["dimension"],
-            boundaries=Boundaries(d["boundaries"]["t_low"], d["boundaries"]["t_high"]),
-            frame_accuracy=d["frame_accuracy"],
-            event_accuracy=d["event_accuracy"],
-            tap_percent=d["tap_percent"],
-            frame_tap_percent=d["frame_tap_percent"],
-            confusion=ConfusionMatrix.from_dict(d["confusion"]),
-            frame_confusion=ConfusionMatrix.from_dict(d["frame_confusion"]),
-            histograms=d["histograms"],
-            bin_edges=d["bin_edges"],
-            n_events=d["n_events"],
-            n_frames=d["n_frames"],
-        )
+        return cls(**{f.name: _REPORT_CODECS.get(f.name, _AS_IS)[1](d[f.name])
+                      for f in fields(cls)})
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         return cls.from_dict(json.loads(text))
+
+
+# (writer, reader) of each report field that is not a plain JSON value
+_AS_IS = (lambda v: v,) * 2
+_REPORT_CODECS = {"boundaries": (asdict, lambda d: Boundaries(**d)),
+                  "confusion": (ConfusionMatrix.to_dict, ConfusionMatrix.from_dict),
+                  "frame_confusion": (ConfusionMatrix.to_dict, ConfusionMatrix.from_dict)}
 
 
 def event_score(scores: Sequence[float]) -> float:
@@ -266,9 +253,19 @@ def event_score(scores: Sequence[float]) -> float:
     return float(np.sort(scores).mean())
 
 
+def class_histograms(scores: Sequence[float], labels: Sequence[OrdinalLabel]) -> dict:
+    """``bin_edges``: ``HISTOGRAM_BINS`` equal-width bins over all ``scores``;
+    ``histograms``: the counts in those bins of each class's scores, keyed
+    low/medium/high."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    edges = np.histogram_bin_edges(scores, bins=HISTOGRAM_BINS)
+    return {"bin_edges": edges.tolist(),
+            "histograms": {key: np.histogram(scores[labels == label], bins=edges)[0].tolist()
+                           for key, label in zip(_LABEL_KEYS, OrdinalLabel)}}
+
+
 def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequence[float]]],
-                           boundaries: Boundaries, dimension: str,
-                           n_bins: int = 50) -> EvalReport:
+                           boundaries: Boundaries, dimension: str) -> EvalReport:
     """Build an EvalReport from per-frame scores grouped by event.
 
     ``scored_events`` holds (event_id, true label, frame scores). Event
@@ -294,12 +291,6 @@ def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequ
     frame_cm = ConfusionMatrix.from_labels(frame_true, frame_pred)
     event_cm = ConfusionMatrix.from_labels(event_true, event_pred)
 
-    edges = np.histogram_bin_edges(frame_scores, bins=n_bins)
-    histograms = {}
-    for key, label in zip(_LABEL_KEYS, (OrdinalLabel.LOW, OrdinalLabel.MEDIUM, OrdinalLabel.HIGH)):
-        sel = frame_scores[[t == label for t in frame_true]]
-        histograms[key] = np.histogram(sel, bins=edges)[0].tolist()
-
     return EvalReport(
         dimension=dimension,
         boundaries=boundaries,
@@ -309,29 +300,27 @@ def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequ
         frame_tap_percent=tap(frame_cm),
         confusion=event_cm,
         frame_confusion=frame_cm,
-        histograms=histograms,
-        bin_edges=edges.tolist(),
         n_events=len(event_true),
         n_frames=int(frame_scores.size),
+        **class_histograms(frame_scores, frame_true),
     )
 
 
-def evaluate(checkpoint, events: Sequence[tuple[str, OrdinalLabel, Sequence[np.ndarray]]],
-             boundaries: Optional[Boundaries] = None) -> EvalReport:
+def evaluate(checkpoint, events: Sequence[tuple[str, OrdinalLabel, Sequence[np.ndarray]]]
+             ) -> EvalReport:
     """Score featurised events with a checkpoint and report both granularities.
 
     ``events`` holds (event_id, true label, list of feature grids). All
-    frames are scored in one ``predict_many`` call, then split per event.
-    The checkpoint's stored boundaries are used unless an override is given.
+    frames are scored in one ``predict_many`` call, then split per event,
+    and decoded with the checkpoint's calibrated boundaries.
     """
     from . import models  # deferred: models depends on this module
 
-    b = boundaries if boundaries is not None else checkpoint.boundaries
-    if b is None:
+    if checkpoint.boundaries is None:
         raise ValueError("no boundaries: calibrate before evaluating")
     grids = [g for _, _, event_grids in events for g in event_grids]
     ends = np.cumsum([len(event_grids) for _, _, event_grids in events])
     per_event = np.split(models.predict_many(checkpoint, grids), ends[:-1])
     scored = [(event_id, label, scores)
               for (event_id, label, _), scores in zip(events, per_event)]
-    return evaluate_scored_events(scored, b, checkpoint.dimension)
+    return evaluate_scored_events(scored, checkpoint.boundaries, checkpoint.dimension)

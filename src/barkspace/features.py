@@ -87,16 +87,19 @@ def _hann_memo(n_fft: int) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=16)
-def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
+def _mel_edges_hz(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
+    """n_mels + 2 points equally spaced in mel from fmin to fmax (by default
+    Nyquist); triangle m spans points m..m+2 and peaks at point m+1."""
     fmax = cfg.fmax if cfg.fmax is not None else sample_rate_hz / 2.0
     if not (0 <= cfg.fmin < fmax <= sample_rate_hz / 2.0):
         raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
+    return mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2))
 
-    n_bins = cfg.n_fft // 2 + 1
-    bin_hz = np.arange(n_bins) * sample_rate_hz / cfg.n_fft
-    # n_mels + 2 equally spaced mel points; triangle m spans points m-1..m+1
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2))
+
+@lru_cache(maxsize=16)
+def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
+    bin_hz = np.arange(cfg.n_fft // 2 + 1) * sample_rate_hz / cfg.n_fft
+    edges_hz = _mel_edges_hz(sample_rate_hz, cfg)
     lower = edges_hz[:-2, None]
     center = edges_hz[1:-1, None]
     upper = edges_hz[2:, None]
@@ -119,9 +122,7 @@ def mel_filterbank(sample_rate_hz: int, cfg: FeatureConfig | None = None) -> np.
 
 def mel_center_frequencies(sample_rate_hz: int, cfg: FeatureConfig | None = None) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
-    cfg = cfg or FeatureConfig()
-    fmax = cfg.fmax if cfg.fmax is not None else sample_rate_hz / 2.0
-    return mel_to_hz(np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2))[1:-1]
+    return _mel_edges_hz(sample_rate_hz, cfg or FeatureConfig())[1:-1]
 
 
 def log_mel(frame, cfg: FeatureConfig | None = None,

@@ -16,9 +16,9 @@ it runs the network in fixed chunks, which is exact because ``forward`` is
 batch-invariant, so an event scores the same bits alone or inside any batch.
 
 Checkpoints are a self-describing binary container ("BDN1"): JSON metadata,
-raw float32 tensors, and a trailing CRC32. Configs and layers are written
-with ``asdict`` and read back by ``from_json``, the one typed reader that
-also builds ``--config`` sections.
+raw float32 tensors, and a trailing CRC32. Configs and layers are read back
+by ``from_json``, the one typed reader that also builds ``--config``
+sections, and configs are written as it types them.
 """
 
 import json
@@ -95,6 +95,19 @@ def _check_head(spec: nn.NetSpec) -> nn.NetSpec:
     """``spec``, whose layer chain must hold and end in one output: the score."""
     if spec.output_shape != (1,):
         raise ValueError("regression head must end in dense(1)")
+    return spec
+
+
+def _check_input(spec: nn.NetSpec, feature_config: FeatureConfig,
+                 segmentation_config: SegmentationConfig) -> nn.NetSpec:
+    """``spec``, whose input must be three ints (a bool is none): the
+    (1, n_mels, n_time) grid that the two configs make of a frame."""
+    grid = (1, feature_config.n_mels,
+            (segmentation_config.target_len - feature_config.n_fft) // feature_config.hop + 1)
+    shape = spec.input_shape
+    if not (all(type(n) is int for n in shape) and tuple(shape) == grid):
+        raise ValueError(f"net input shape {list(shape)} is not the grid {list(grid)} "
+                         "of the feature and segmentation configs")
     return spec
 
 
@@ -226,7 +239,10 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     _check_training_set(values)
     labels = [label_from_value(float(v)) for v in values]
     x = _stack_features([f for f, _ in train_frames])
-    spec = _check_head(net_spec or nn.default_net_spec(input_shape=tuple(x.shape[1:])))
+    feature_config = feature_config or FeatureConfig()
+    segmentation_config = segmentation_config or SegmentationConfig()
+    spec = _check_input(_check_head(net_spec or nn.default_net_spec(input_shape=x.shape[1:])),
+                        feature_config, segmentation_config)
 
     params = nn.init_params(spec, cfg.seed, dtype=np.float32)
     state = nn.init_adam(params)
@@ -251,8 +267,7 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
         history.append(sum(losses) / len(perm))
 
     ckpt = Checkpoint(dimension=cfg.dimension, seed=cfg.seed, net_spec=spec, params=params,
-                      feature_config=feature_config or FeatureConfig(),
-                      segmentation_config=segmentation_config or SegmentationConfig(),
+                      feature_config=feature_config, segmentation_config=segmentation_config,
                       sample_rate_hz=CANONICAL_RATE_HZ)
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
@@ -401,7 +416,14 @@ def load_tensor_file(path) -> tuple[dict, dict]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the BDN1 container: JSON metadata, float32 tensors, CRC32."""
+    """Write the BDN1 container: JSON metadata, float32 tensors, CRC32.
+
+    Configs and boundaries are written as ``from_json`` reads them (an int
+    in a float field as a float), so a loaded checkpoint saves the same bytes.
+    """
+    def typed(x):
+        return asdict(from_json(type(x), asdict(x), type(x).__name__))
+
     meta = {
         "version": ckpt.version,
         "dimension": ckpt.dimension,
@@ -412,9 +434,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             "layers": [{"kind": type(l).__name__.lower(), **asdict(l)}
                        for l in ckpt.net_spec.layers],
         },
-        "feature_config": asdict(ckpt.feature_config),
-        "segmentation_config": asdict(ckpt.segmentation_config),
-        "boundaries": None if ckpt.boundaries is None else asdict(ckpt.boundaries),
+        "feature_config": typed(ckpt.feature_config),
+        "segmentation_config": typed(ckpt.segmentation_config),
+        "boundaries": None if ckpt.boundaries is None else typed(ckpt.boundaries),
     }
     Path(path).write_bytes(
         _pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors()))
@@ -462,9 +484,10 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     Raises CheckpointError on a bad magic, version mismatch, truncation,
     checksum failure, missing or mistyped metadata (configs and layers are
     read by ``from_json``), a rate other than ``CANONICAL_RATE_HZ``, a net
-    without one output, a missing, unknown, misshapen or non-finite tensor,
-    weights that could drive an activation past the float32 range, or (when
-    ``dimension`` is given) a dimension-tag mismatch.
+    input other than the grid of the configs, a net without one output, a
+    missing, unknown, misshapen or non-finite tensor, weights that could
+    drive an activation past the float32 range, or (when ``dimension`` is
+    given) a dimension-tag mismatch.
     """
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     if not isinstance(meta, dict):
@@ -483,16 +506,16 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
     net = _meta_field(meta, "net_spec", dict, path)
     b = meta.get("boundaries")
     try:
-        spec = _check_head(nn.NetSpec(
-            input_shape=tuple(_meta_field(net, "input_shape", list, path)),
-            layers=tuple(_layer_from_json(d, f"net_spec layer {i}")
-                         for i, d in enumerate(_meta_field(net, "layers", list, path))),
-        ))
-        shapes = nn.param_shapes(spec)
         feature_config = from_json(FeatureConfig, meta.get("feature_config"), "feature_config")
         segmentation_config = from_json(SegmentationConfig, meta.get("segmentation_config"),
                                         "segmentation_config")
         boundaries = None if b is None else from_json(Boundaries, b, "boundaries")
+        spec = _check_head(_check_input(nn.NetSpec(
+            input_shape=tuple(_meta_field(net, "input_shape", list, path)),
+            layers=tuple(_layer_from_json(d, f"net_spec layer {i}")
+                         for i, d in enumerate(_meta_field(net, "layers", list, path))),
+        ), feature_config, segmentation_config))
+        shapes = nn.param_shapes(spec)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
     for name, arr in tensors.items():

@@ -101,8 +101,7 @@ def select_split(rows: Sequence, split: Optional[str]) -> list:
 
 def train_dimension(events: Sequence[EventData], model_kind: str,
                     cfg: models.TrainConfig,
-                    *, net_spec=None,
-                    seg_cfg: Optional[SegmentationConfig] = None,
+                    *, seg_cfg: Optional[SegmentationConfig] = None,
                     feat_cfg: Optional[FeatureConfig] = None) -> models.TrainResult:
     """Train one dimension model and calibrate its decode boundaries.
 
@@ -113,12 +112,7 @@ def train_dimension(events: Sequence[EventData], model_kind: str,
         raise ValueError(f"model must be baseline or siamese, got {model_kind!r}")
     frames = training_frames(events, cfg.dimension)
     trainer = models.train_baseline if model_kind == "baseline" else models.train_siamese
-    result = trainer(
-        frames, cfg,
-        net_spec=net_spec,
-        feature_config=feat_cfg or FeatureConfig(),
-        segmentation_config=seg_cfg or SegmentationConfig(),
-    )
+    result = trainer(frames, cfg, feature_config=feat_cfg, segmentation_config=seg_cfg)
     grids = [g for g, _ in frames]
     labels = [ev.label(cfg.dimension) for ev in events for _ in ev.features]
     preds = models.predict_many(result.checkpoint, grids)

@@ -9,6 +9,9 @@ follow the circumplex convention: excited, anxious, relaxed, despondent.
 Projection takes an event's feature grids, computed once by the caller and
 scored by both axes' checkpoints, which must therefore share one front end:
 the same feature config, segmentation config and sample rate.
+
+A points file, CSV or JSON, holds one record per event, with the columns of
+``_COLUMNS``; CSV writes floats with 9 significant digits.
 """
 
 import csv
@@ -22,7 +25,9 @@ from .models import Checkpoint, predict_event
 
 QUADRANTS = ("excited", "anxious", "relaxed", "despondent")
 
-_CSV_HEADER = ["event_id", "valence", "arousal", "quadrant", "n_frames"]
+# a points file's columns, each with the type it is read back as
+_COLUMNS = {"event_id": str, "valence": float, "arousal": float, "quadrant": str,
+            "n_frames": int}
 _FRONT_END = ("feature_config", "segmentation_config", "sample_rate_hz")
 
 
@@ -104,20 +109,14 @@ def project_event(arousal_ckpt: Checkpoint, valence_ckpt: Checkpoint, event_id: 
 def export_points(points: Sequence[EmotionPoint], path, fmt: str = "csv") -> None:
     """Write points as CSV (9 significant digits) or a JSON array."""
     path = Path(path)
+    records = [{name: getattr(p, name) for name in _COLUMNS} for p in points]
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for p in points:
-                writer.writerow(
-                    [p.event_id, f"{p.valence:.9g}", f"{p.arousal:.9g}", p.quadrant, p.n_frames]
-                )
+            writer.writerow(_COLUMNS)
+            writer.writerows([f"{v:.9g}" if _COLUMNS[name] is float else v
+                              for name, v in r.items()] for r in records)
     elif fmt == "json":
-        records = [
-            {"event_id": p.event_id, "valence": p.valence, "arousal": p.arousal,
-             "quadrant": p.quadrant, "n_frames": p.n_frames}
-            for p in points
-        ]
         path.write_text(json.dumps(records, indent=2))
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -126,21 +125,15 @@ def export_points(points: Sequence[EmotionPoint], path, fmt: str = "csv") -> Non
 def load_points(path, fmt: str = "csv") -> list[EmotionPoint]:
     """Read back an export_points file."""
     path = Path(path)
-    points = []
     if fmt == "csv":
         with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header!r}")
-            for row in reader:
-                points.append(
-                    EmotionPoint(row[0], float(row[1]), float(row[2]), row[3], int(row[4]))
-                )
+            header, *rows = csv.reader(fh)
+        if header != list(_COLUMNS):
+            raise ValueError(f"unexpected CSV header {header!r}")
+        records = [dict(zip(header, row)) for row in rows]
     elif fmt == "json":
-        for rec in json.loads(path.read_text()):
-            points.append(EmotionPoint(rec["event_id"], rec["valence"], rec["arousal"],
-                                       rec["quadrant"], rec["n_frames"]))
+        records = json.loads(path.read_text())
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return points
+    return [EmotionPoint(**{name: kind(r[name]) for name, kind in _COLUMNS.items()})
+            for r in records]

@@ -233,6 +233,11 @@ def _head_of(width):
     pytest.param(_relabel_layer(0, stride=1), id="layer-unknown-key"),
     pytest.param(_relabel_layer(0, out_channels=8.0), id="out-channels-float"),
     pytest.param(lambda m, t: m.update(sample_rate_hz=44100), id="sample-rate-44100"),
+    pytest.param(lambda m, t: m["feature_config"].update(n_mels=10**6), id="n-mels-1e6"),
+    pytest.param(lambda m, t: m["net_spec"].update(input_shape=[1, 64.0, 37]),
+                 id="input-shape-float"),
+    pytest.param(lambda m, t: m["net_spec"].update(input_shape=[True, 64, 37]),
+                 id="input-shape-bool"),
 ])
 def test_eval_malformed_checkpoint_metadata_is_data_error(checkpoints, split_manifest,
                                                           tmp_path, capsys, mutate):

@@ -3,7 +3,7 @@ import math
 import struct
 import zlib
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -25,13 +25,18 @@ from barkspace.segmentation import SegmentationConfig
 TOY_SHAPE = (1, 16, 9)
 TOY_SPEC = nn.NetSpec(TOY_SHAPE, (nn.Conv2d(4, 3, 3), nn.Relu(), nn.MaxPool2x2(),
                                   nn.Flatten(), nn.Dense(8), nn.Relu(), nn.Dense(1)))
+# configs whose frames make the toy net's 16x9 grid: 16 bands, (768 - 256) // 64 + 1 columns
+TOY_FEATURES = FeatureConfig(n_fft=256, hop=64, n_mels=16)
+TOY_SEGMENTATION = SegmentationConfig(target_len=768, stride=384)
+TOY = dict(net_spec=TOY_SPEC, feature_config=TOY_FEATURES,
+           segmentation_config=TOY_SEGMENTATION)
 
 H, M, L = OrdinalLabel.HIGH, OrdinalLabel.MEDIUM, OrdinalLabel.LOW
 
 # a value other than the default in every field
 CUSTOM_FEATURES = FeatureConfig(n_fft=256, hop=64, n_mels=16, fmin=50.0, fmax=8000.0,
                                 db_floor=-60.0)
-CUSTOM_SEGMENTATION = SegmentationConfig(top_db=30.0, target_len=1024, stride=512,
+CUSTOM_SEGMENTATION = SegmentationConfig(top_db=30.0, target_len=768, stride=384,
                                          detect_frame_len=512, detect_hop=128)
 
 
@@ -57,8 +62,8 @@ def toy_checkpoint(seed=0, dimension="arousal", boundaries=None):
         seed=seed,
         net_spec=TOY_SPEC,
         params=nn.init_params(TOY_SPEC, seed, dtype=np.float32),
-        feature_config=FeatureConfig(),
-        segmentation_config=SegmentationConfig(),
+        feature_config=TOY_FEATURES,
+        segmentation_config=TOY_SEGMENTATION,
         sample_rate_hz=22050,
         boundaries=boundaries,
     )
@@ -129,7 +134,7 @@ def test_baseline_memorizes_tiny_set():
     data = toy_set(1, seed=4)
     cfg = TrainConfig(dimension="arousal", epochs=300, batch_size=3,
                       learning_rate=3e-3, seed=0)
-    result = train_baseline(data, cfg, net_spec=TOY_SPEC)
+    result = train_baseline(data, cfg, **TOY)
     assert result.loss_history[-1] < 1e-3
 
 
@@ -137,7 +142,7 @@ def test_baseline_loss_trend_on_separable_set():
     data = toy_set(8, seed=5)
     cfg = TrainConfig(dimension="valence", epochs=12, batch_size=8,
                       learning_rate=2e-3, seed=1)
-    result = train_baseline(data, cfg, net_spec=TOY_SPEC)
+    result = train_baseline(data, cfg, **TOY)
     ma = np.convolve(result.loss_history, np.ones(5) / 5, mode="valid")
     assert np.all(np.diff(ma) <= 1e-9)
 
@@ -155,7 +160,7 @@ def test_trainers_reject_a_value_that_is_no_label():
     data = toy_set(1) + [(toy_set(1)[0][0], 0.5)]
     for trainer in (train_baseline, train_siamese):
         with pytest.raises(ValueError, match="no ordinal label"):
-            trainer(data, TrainConfig(dimension="arousal", epochs=1), net_spec=TOY_SPEC)
+            trainer(data, TrainConfig(dimension="arousal", epochs=1), **TOY)
 
 
 def test_training_is_deterministic():
@@ -163,8 +168,8 @@ def test_training_is_deterministic():
     cfg = TrainConfig(dimension="arousal", epochs=3, batch_size=4,
                       learning_rate=1e-3, seed=11, pairs_per_epoch=60)
     for trainer in (train_baseline, train_siamese):
-        a = trainer(data, cfg, net_spec=TOY_SPEC).checkpoint
-        b = trainer(data, cfg, net_spec=TOY_SPEC).checkpoint
+        a = trainer(data, cfg, **TOY).checkpoint
+        b = trainer(data, cfg, **TOY).checkpoint
         for (n1, t1), (n2, t2) in zip(a.params.tensors(), b.params.tensors()):
             assert n1 == n2 and np.array_equal(t1, t2), n1
 
@@ -179,8 +184,8 @@ def test_shared_loop_is_bit_equal_to_separate_trainers(kind, batch_size, pairs_p
     data = toy_set(4, seed=8)
     cfg = TrainConfig(dimension="valence", epochs=2, batch_size=batch_size,
                       learning_rate=3e-3, seed=13, pairs_per_epoch=pairs_per_epoch)
-    new = getattr(models, f"train_{kind}")(data, cfg, net_spec=TOY_SPEC)
-    ref = getattr(separate_trainers, f"train_{kind}")(data, cfg, net_spec=TOY_SPEC)
+    new = getattr(models, f"train_{kind}")(data, cfg, **TOY)
+    ref = getattr(separate_trainers, f"train_{kind}")(data, cfg, **TOY)
     assert new.loss_history == ref.loss_history and len(new.loss_history) == 2
     for (n1, t1), (n2, t2) in zip(new.checkpoint.params.tensors(),
                                   ref.checkpoint.params.tensors(), strict=True):
@@ -193,7 +198,7 @@ def test_siamese_separates_toy_classes():
     data = toy_set(6, seed=7)
     cfg = TrainConfig(dimension="arousal", epochs=25, batch_size=16,
                       learning_rate=2e-3, seed=2, pairs_per_epoch=180)
-    ckpt = train_siamese(data, cfg, net_spec=TOY_SPEC).checkpoint
+    ckpt = train_siamese(data, cfg, **TOY).checkpoint
     rng = np.random.default_rng(99)
     high = predict_many(ckpt, [toy_grid(1.0, rng) for _ in range(8)])
     low = predict_many(ckpt, [toy_grid(-1.0, rng) for _ in range(8)])
@@ -287,7 +292,7 @@ def test_diverging_training_raises(trainer):
     cfg = TrainConfig(dimension="arousal", epochs=5, batch_size=4,
                       learning_rate=1e4, seed=0, pairs_per_epoch=40)
     with pytest.raises(ValueError, match="diverged.*step"):
-        trainer(toy_set(4, seed=3), cfg, net_spec=TOY_SPEC)
+        trainer(toy_set(4, seed=3), cfg, **TOY)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -412,6 +417,12 @@ def _wrong_kinds():
     pytest.param(lambda m: m["net_spec"]["layers"][1].update(kind=["relu"]), id="layer-kind-list"),
     pytest.param(lambda m: m["net_spec"].update(layers=[]), id="layers-empty"),
     pytest.param(lambda m: m.update(sample_rate_hz=44100), id="sample-rate-44100"),
+    pytest.param(lambda m: m["feature_config"].update(n_mels=10**6), id="n-mels-1e6"),
+    pytest.param(lambda m: m["feature_config"].update(n_fft=8192), id="n-fft-8192"),
+    pytest.param(lambda m: m["net_spec"].update(input_shape=[1, 16.0, 9]),
+                 id="input-shape-float"),
+    pytest.param(lambda m: m["net_spec"].update(input_shape=[True, 16, 9]),
+                 id="input-shape-bool"),
     *_wrong_kinds(),
 ])
 def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
@@ -486,11 +497,17 @@ def test_from_json_stores_an_int_for_a_float_as_a_float():
 
 
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
-    ckpt = toy_checkpoint(seed=5, boundaries=Boundaries(-0.5, 0.25))
-    ckpt.feature_config, ckpt.segmentation_config = CUSTOM_FEATURES, CUSTOM_SEGMENTATION
-    save_checkpoint(ckpt, tmp_path / "a.ckpt")
-    save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
-    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+    """Non-default configs, and Python ints in float fields, which are saved
+    as the floats that loading reads."""
+    for features, segmentation, boundaries in (
+            (CUSTOM_FEATURES, CUSTOM_SEGMENTATION, Boundaries(-0.5, 0.25)),
+            (replace(TOY_FEATURES, fmin=0), replace(TOY_SEGMENTATION, top_db=20),
+             Boundaries(0, 1))):
+        ckpt = toy_checkpoint(seed=5, boundaries=boundaries)
+        ckpt.feature_config, ckpt.segmentation_config = features, segmentation
+        save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_metadata_not_an_object(tmp_path):
@@ -621,6 +638,8 @@ def _saved(tmp_path_factory, name: str, save) -> bytes:
 def test_mutated_checkpoint_loads_only_as_a_finite_model(data, tmp_path_factory):
     ckpt = toy_checkpoint(seed=2, boundaries=Boundaries(-0.5, 0.5))
     valid = _saved(tmp_path_factory, "valid.ckpt", lambda p: save_checkpoint(ckpt, p))
+    # the unmutated file loads, so each rejection below is the mutation's doing
+    assert load_checkpoint(tmp_path_factory.getbasetemp() / "valid.ckpt").net_spec == TOY_SPEC
     path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
     path.write_bytes(data.draw(mutated(valid)))
     try:
