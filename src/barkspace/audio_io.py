@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 CANONICAL_RATE_HZ = 22050
 
@@ -152,6 +151,10 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     n_out = (2 * n_in * target_hz + src_hz) // (2 * src_hz)
     if n_in == 0:
         return AudioClip(np.zeros(0), target_hz)
+
+    # imported here, not at the top: scipy.signal costs about 70 MB of RSS and
+    # over a second to import, and 22 050 Hz input never resamples
+    from scipy.signal import resample_poly
 
     g = math.gcd(target_hz, src_hz)
     out = resample_poly(clip.samples, target_hz // g, src_hz // g)

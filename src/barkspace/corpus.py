@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .audio_io import AudioClip, write_wav
+from .audio_io import CANONICAL_RATE_HZ, AudioClip, write_wav
 from .labels import OrdinalLabel, parse_label
 
 MANIFEST_COLUMNS = ("path", "event_id", "arousal", "valence")
@@ -66,14 +66,11 @@ class ManifestEntry:
 class SynthConfig:
     seed: int
     n_events: int
-    sample_rate_hz: int = 22050
     duration_range: tuple[float, float] = (0.2, 1.5)
 
     def __post_init__(self):
         if self.n_events < 6:
             raise ValueError("n_events must be >= 6 so all label levels appear")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         lo, hi = self.duration_range
         if not (0 < lo <= hi < math.inf):
             raise ValueError("duration_range must be increasing, positive and finite")
@@ -146,7 +143,7 @@ def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
 
 def _render_event(rng: np.random.Generator, arousal: OrdinalLabel,
                   valence: OrdinalLabel, cfg: SynthConfig) -> np.ndarray:
-    sr = cfg.sample_rate_hz
+    sr = CANONICAL_RATE_HZ
     dur = rng.uniform(*cfg.duration_range)
     n = int(round(dur * sr))
     t = np.arange(n) / sr
@@ -205,7 +202,7 @@ def synth_corpus(cfg: SynthConfig, out_dir) -> list[ManifestEntry]:
         wave = _render_event(rng, arousal, valence, cfg)
         event_id = f"synth_{i:04d}"
         filename = f"{event_id}.wav"
-        write_wav(out_dir / filename, AudioClip(wave, cfg.sample_rate_hz))
+        write_wav(out_dir / filename, AudioClip(wave, CANONICAL_RATE_HZ))
         entries.append(ManifestEntry(filename, event_id, arousal, valence))
     save_manifest(entries, out_dir / "manifest.csv")
     return entries

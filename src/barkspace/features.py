@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .audio_io import CANONICAL_RATE_HZ
 from .segmentation import Frame
 
 _POWER_FLOOR = 1e-10
@@ -126,7 +127,7 @@ def mel_center_frequencies(sample_rate_hz: int, cfg: FeatureConfig | None = None
 
 
 def log_mel(frame, cfg: FeatureConfig | None = None,
-            sample_rate_hz: int = 22050) -> np.ndarray:
+            sample_rate_hz: int = CANONICAL_RATE_HZ) -> np.ndarray:
     """Gain-invariant log-mel grid in [0, 1], shape (n_mels, n_time).
 
     The mel power grid is max-normalised, floored at _POWER_FLOOR, converted

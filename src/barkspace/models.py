@@ -6,9 +6,10 @@ only in the examples each epoch hands that loop. The baseline's are the
 frames themselves, with the numeric label value as target. The adjusted
 twin-network model's are ``make_pairs`` label pairs, scored with the shared
 head so that score(a) - score(b) is trained to match the signed numeric
-difference of their ordinal labels; single-input inference then uses the
-branch scalar, which is an absolute coordinate up to an additive constant
-absorbed later by boundary calibration.
+difference of their ordinal labels; training and ``siamese_forward`` run
+both members of a pair through one stacked batch. Single-input inference
+then uses the branch scalar, which is an absolute coordinate up to an
+additive constant absorbed later by boundary calibration.
 
 Scoring takes feature grids, never audio: callers featurise each event once
 and share the grids between both axes. ``predict_many`` is the one scorer;
@@ -302,23 +303,13 @@ def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainCo
     return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
-def _as_net_input(spec: nn.NetSpec, x: np.ndarray, dtype) -> np.ndarray:
-    """Accept a feature grid (n_mels, n_time) or a full (C, H, W) tensor."""
-    x = np.asarray(x, dtype=dtype)
-    if x.shape == tuple(spec.input_shape):
-        return x
-    if x.ndim == 2 and (1,) + x.shape == tuple(spec.input_shape):
-        return x[None]
-    raise ValueError(f"input shape {x.shape} does not fit spec {spec.input_shape}")
-
-
 def siamese_forward(spec: nn.NetSpec, params: nn.Params, xa: np.ndarray,
                     xb: np.ndarray) -> float:
-    """Predicted ordered distance score(xa) - score(xb) under shared weights."""
+    """Predicted ordered distance score(xa) - score(xb) under shared weights:
+    both inputs, each of ``spec.input_shape``, run as one batch of two."""
     dtype = next(params.tensors())[1].dtype
-    ya, _ = nn.forward(spec, params, _as_net_input(spec, xa, dtype))
-    yb, _ = nn.forward(spec, params, _as_net_input(spec, xb, dtype))
-    return float(ya[0]) - float(yb[0])
+    y, _ = nn.forward(spec, params, np.stack((xa, xb)).astype(dtype, copy=False))
+    return float(y[0, 0]) - float(y[1, 0])
 
 
 def predict_many(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> np.ndarray:

@@ -3,7 +3,8 @@
 Tensors are row-major numpy arrays; a network is an immutable NetSpec (input
 shape plus a layer list) and a Params object holding per-layer weights.
 Supported layers: conv2d (valid, stride 1), relu, maxpool2x2 (stride 2,
-truncating odd dims), flatten, dense. ``forward`` records a tape of cached
+truncating odd dims), flatten, dense. ``forward`` takes one input form, a
+batch of shape (B, *input_shape), and records a tape: the list of cached
 activations, one entry per layer, which ``backward`` replays for exact
 reverse-mode gradients. Everything is a pure function of its arrays, so two
 runs with the same seed produce bit-identical trajectories.
@@ -30,24 +31,25 @@ pooling, relu and flatten are elementwise. A dense layer runs as one
 (1,K)x(K,N) product per row rather than one (B,K)x(K,N) GEMM, whose
 blocking, and so whose rounding, depends on B.
 
-Both passes split the network into the trunk, the layers before the first
-flatten or dense, and the head after it. The trunk runs ``CHUNK`` items at
-a time, each chunk through every trunk layer before the next one starts, so
-its work arrays stay small and in cache; the head runs on the whole batch,
-since its dense GEMMs see the batch. A conv layer caches its input, not its
-im2col patch matrix, and backward rebuilds each chunk's patches: compute
-traded for memory, as in Chen et al., "Training Deep Nets with Sublinear
-Memory Cost" (2016). Conv weight and bias gradients are built per item and
-summed over the whole batch once, which gives the bits of an unchunked pass.
-The one exception is a one-channel conv's bias: numpy sums its gradient as
-one flat pairwise sum, so that layer keeps its whole upstream gradient.
+``forward`` walks the batch once, ``CHUNK`` items at a time, each chunk
+through every layer before the next one starts, so its work arrays stay
+small and in cache. ``backward`` runs the head, the layers from the first
+flatten or dense on, on the whole batch, since a dense weight gradient is
+one GEMM over the batch, and the trunk before it chunk by chunk. A conv
+layer caches its input, not its im2col patch matrix, and backward rebuilds
+each chunk's patches: compute traded for memory, as in Chen et al.,
+"Training Deep Nets with Sublinear Memory Cost" (2016). Conv weight and bias
+gradients are built per item and summed over the whole batch once, which
+gives the bits of an unchunked pass. The one exception is a one-channel
+conv's bias: numpy sums its gradient as one flat pairwise sum, so that layer
+keeps its whole upstream gradient.
 
-The trunk's work arrays (patches, conv outputs, pool planes, patch, col2im
-and pool gradients) are chunk-sized, made as each layer needs them and
-freed once the next layer has read them, so a step holds one chunk's work
-arrays besides the tape, and the allocator hands the same memory to the
-next chunk. The tape holds only whole-batch arrays that the call made, so
-any number of tapes stay valid side by side.
+The chunk's work arrays (patches, conv outputs, pool planes, patch, col2im
+and pool gradients) are made as each layer needs them and freed once the
+next layer has read them, so a step holds one chunk's work arrays besides
+the tape, and the allocator hands the same memory to the next chunk. The
+tape holds only whole-batch arrays that the call made, so any number of
+tapes stay valid side by side.
 """
 
 import functools
@@ -57,10 +59,10 @@ from typing import Union
 
 import numpy as np
 
-# items per chunk of the trunk (the layers before the first Flatten or Dense)
-# in forward and backward, and grids per forward call when scoring; on a
-# 2-vCPU OpenBLAS host 16 scored at 0.22 ms/frame and 128 at 0.40, since a
-# chunk's work arrays stay in cache
+# items per chunk in forward, in backward's trunk (the layers before the first
+# Flatten or Dense), and grids per forward call when scoring; on a 2-vCPU
+# OpenBLAS host 16 scored at 0.22 ms/frame and 128 at 0.40, since a chunk's
+# work arrays stay in cache
 CHUNK = 16
 
 
@@ -315,19 +317,6 @@ def init_params(spec: NetSpec, seed: int, dtype=np.float64) -> Params:
     return Params(layers=layers, seed=int(seed))
 
 
-@dataclass
-class Tape:
-    """Cached activations from one forward pass, consumed by backward.
-
-    A trunk layer's slot holds a whole-batch array: a conv's input, a relu's
-    mask or a pool's window index.
-    """
-
-    caches: list
-    batched: bool
-    n_layers: int
-
-
 def _im2col(x, kh, kw):
     """Patch tensor (B, C*kh*kw, H'*W') filled without any axis permutation."""
     b, c, h, w = x.shape
@@ -446,16 +435,26 @@ def _keep(full, part, lo: int, n: int):
     return full
 
 
-def _trunk_forward(spec: NetSpec, params: Params, x, end: int, caches: list):
-    """Run layers [0, end) chunk by chunk; fills their tape slots with
-    whole-batch arrays and returns the whole-batch output."""
+def forward(spec: NetSpec, params: Params, x: np.ndarray):
+    """Run the network on a batch ``x`` of shape (B, *spec.input_shape);
+    returns (output, tape).
+
+    The batch runs chunk by chunk through every layer. The tape is the list
+    of per-layer caches, each a whole-batch array (a flatten's is the
+    whole-batch input shape), which ``backward`` consumes.
+    """
+    x = np.asarray(x)
+    if x.shape[1:] != tuple(spec.input_shape):
+        raise ValueError(f"input shape {x.shape} does not match a batch of {spec.input_shape}")
+    if len(params.layers) != len(spec.layers):
+        raise ValueError("params do not match spec layer count")
     layers = spec.layers
+    caches = [None] * len(layers)
     n = len(x)
     out = None
     for lo in _chunk_starts(n):
         h = x[lo : lo + CHUNK]
-        for i in range(end):
-            layer = layers[i]
+        for i, layer in enumerate(layers):
             if isinstance(layer, Conv2d):
                 caches[i] = _keep(caches[i], h, lo, n)
                 h, _ = _conv_forward(h, params.layers[i]["w"], params.layers[i]["b"])
@@ -470,46 +469,15 @@ def _trunk_forward(spec: NetSpec, params: Params, x, end: int, caches: list):
                 if _pool_follows(layers, i - 1):
                     caches[i - 1] = _keep(caches[i - 1], h > 0, lo, n)
                     h = np.maximum(h, 0)
+            elif isinstance(layer, Flatten):
+                caches[i] = (n,) + h.shape[1:]
+                h = h.reshape(len(h), -1)
+            elif isinstance(layer, Dense):
+                caches[i] = _keep(caches[i], h, lo, n)
+                # one (1,K)x(K,N) product per row: a row's bits do not depend on B
+                h = np.matmul(h[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
         out = _keep(out, h, lo, n)
-    return out
-
-
-def forward(spec: NetSpec, params: Params, x: np.ndarray):
-    """Run the network; returns (output, tape).
-
-    ``x`` may be a single input of spec.input_shape or a batch with a leading
-    batch axis. The output of a single input is squeezed accordingly (a
-    dense(1) head yields a python-float-compatible 0-d array).
-    """
-    x = np.asarray(x)
-    batched = x.ndim == 4
-    if not batched:
-        if x.shape != tuple(spec.input_shape):
-            raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-        x = x[None]
-    elif x.shape[1:] != tuple(spec.input_shape):
-        raise ValueError(f"batch item shape {x.shape[1:]} does not match spec {spec.input_shape}")
-    if len(params.layers) != len(spec.layers):
-        raise ValueError("params do not match spec layer count")
-
-    caches = [None] * len(spec.layers)
-    end = _trunk_end(spec.layers)
-    if end:
-        x = _trunk_forward(spec, params, x, end, caches)
-    for i in range(end, len(spec.layers)):
-        layer = spec.layers[i]
-        if isinstance(layer, Relu):
-            caches[i] = x > 0
-            x = np.maximum(x, 0)
-        elif isinstance(layer, Flatten):
-            caches[i] = x.shape
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(layer, Dense):
-            caches[i] = x
-            # one (1,K)x(K,N) product per row: a row's bits do not depend on B
-            x = np.matmul(x[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
-    y = x if batched else x[0]
-    return y, Tape(caches=caches, batched=batched, n_layers=len(spec.layers))
+    return out, caches
 
 
 def _trunk_backward(spec: NetSpec, params: Params, caches: list, d, end: int, stop: int,
@@ -553,22 +521,18 @@ def _trunk_backward(spec: NetSpec, params: Params, caches: list, d, end: int, st
     return dx
 
 
-def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
+def backward(spec: NetSpec, params: Params, tape: list, upstream: np.ndarray,
              *, input_grad: bool = True):
     """Reverse-mode gradients of the forward pass.
 
     ``upstream`` has the shape of the forward output. Returns (grads, dx)
     where grads mirrors the Params layout and dx is the gradient w.r.t. the
-    input (batch axis included iff the forward input had one). With
-    ``input_grad=False`` the walk stops at the first layer with parameters,
-    skipping the work that only dx needs, and dx is None.
+    input batch. With ``input_grad=False`` the walk stops at the first layer
+    with parameters, skipping the work that only dx needs, and dx is None.
     """
-    if tape.n_layers != len(spec.layers) or len(tape.caches) != len(spec.layers):
+    if len(tape) != len(spec.layers):
         raise ValueError("tape does not match spec")
     d = np.asarray(upstream)
-    if not tape.batched:
-        d = d[None]
-
     grads = [None] * len(spec.layers)
     stop = 0
     if not input_grad:
@@ -576,7 +540,7 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
     end = _trunk_end(spec.layers)
     for i in range(len(spec.layers) - 1, max(end, stop) - 1, -1):
         layer = spec.layers[i]
-        cache = tape.caches[i]
+        cache = tape[i]
         if isinstance(layer, Relu):
             d = d * cache
         elif isinstance(layer, Flatten):
@@ -586,10 +550,12 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
             if input_grad or i > stop:
                 d = d @ params.layers[i]["w"]
     if stop < end:
-        d = _trunk_backward(spec, params, tape.caches, d, end, stop, input_grad, grads)
-    if not input_grad:
-        return grads, None
-    return grads, (d if tape.batched else d[0])
+        d = _trunk_backward(spec, params, tape, d, end, stop, input_grad, grads)
+    return grads, (d if input_grad else None)
+
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba, 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -607,8 +573,7 @@ def init_adam(params: Params) -> AdamState:
     return AdamState(m=m, v=v, t=0)
 
 
-def adam_step(params: Params, grads: list, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: Params, grads: list, state: AdamState, lr: float):
     """One bias-corrected adaptive-moment update; mutates params and state.
 
     Raises ValueError, naming the step, when a moment is not finite: a NaN or
@@ -617,8 +582,8 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float,
     call sites can stay functional in style.
     """
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for i, entry in enumerate(params.layers):
         if entry is None:
             continue
@@ -630,13 +595,13 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float,
                 raise ValueError(f"gradient shape {g.shape} != param shape {entry[k].shape}")
             m = state.m[i][k]
             v = state.v[i][k]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             # m carries any NaN/inf in g, v any overflow of g * g
             if not (np.isfinite(m).all() and np.isfinite(v).all()):
                 raise ValueError(f"training diverged: the gradient or its moments for "
                                  f"layer {i} {k} are not finite at Adam step {state.t}")
-            entry[k] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            entry[k] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state

@@ -16,6 +16,7 @@ A points file, CSV or JSON, holds one record per event, with the columns of
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -72,11 +73,17 @@ def project_scores(event_id: str, arousal_score: float, valence_score: float,
 
 
 def _require(ckpt: Checkpoint, dimension: str) -> Boundaries:
+    """``ckpt``'s boundaries, whose neutral point must be finite: an infinite
+    boundary would put every event at infinity or NaN on this axis."""
     if ckpt.dimension != dimension:
         raise ValueError(f"checkpoint is tagged {ckpt.dimension!r}, expected {dimension!r}")
-    if ckpt.boundaries is None:
+    b = ckpt.boundaries
+    if b is None:
         raise ValueError(f"{dimension} checkpoint has no calibrated boundaries")
-    return ckpt.boundaries
+    if not math.isfinite(neutral_point(b)):
+        raise ValueError(f"{dimension} checkpoint's boundaries ({b.t_low}, {b.t_high}) "
+                         "have no finite neutral point")
+    return b
 
 
 def check_pair(arousal_ckpt: Checkpoint,

@@ -106,7 +106,7 @@ def frame_segment(seg: EventSegment, cfg: SegmentationConfig | None = None) -> l
     """Cut one segment into frames of exactly cfg.target_len samples.
 
     Shorter segments get floor(d/2) zeros on the left and the rest on the
-    right. Longer ones are framed at offsets 0, stride, 2*stride, ... and, if
+    right. The others are framed at offsets 0, stride, 2*stride, ... and, if
     the last full frame does not end at the segment end, one extra end-aligned
     frame covers the tail without zero padding.
     """
@@ -121,8 +121,6 @@ def frame_segment(seg: EventSegment, cfg: SegmentationConfig | None = None) -> l
         d = t - n
         padded = np.concatenate((np.zeros(d // 2), x, np.zeros(d - d // 2)))
         return [Frame(seg.event_id, 0, padded)]
-    if n == t:
-        return [Frame(seg.event_id, 0, x.copy())]
 
     frames = []
     offset = 0

@@ -50,6 +50,7 @@ def rel_error(a, b):
 
 def max_gradient_error(spec, params, x, rng):
     """Worst relative error between analytic and central-FD gradients."""
+    x = np.asarray(x)[None]
     y, tape = nn.forward(spec, params, x)
     proj = rng.standard_normal(np.shape(y))
     grads, dx = nn.backward(spec, params, tape, proj)

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import barkspace
 from barkspace.audio_io import (MAX_RATE_HZ, MIN_RATE_HZ, AudioClip, UnsupportedWavError,
                                 WavFormatError, read_wav, resample, write_wav)
 
@@ -108,6 +113,30 @@ def test_resample_identity_is_bitwise():
     out = resample(clip, 22050)
     assert out.sample_rate_hz == 22050
     assert np.array_equal(out.samples, clip.samples)
+
+
+# run in a fresh interpreter, since this one has imported scipy.signal already
+_SCIPY_SIGNAL_CHECK = """
+import sys
+import numpy as np
+import barkspace.cli
+from barkspace.audio_io import AudioClip, resample
+assert 'scipy.signal' not in sys.modules, 'imported by barkspace.cli'
+resample(AudioClip(np.zeros(8), 22050), 22050)
+assert 'scipy.signal' not in sys.modules, 'imported by a same-rate resample'
+resample(AudioClip(np.zeros(8), 44100), 22050)
+assert 'scipy.signal' in sys.modules
+"""
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    """scipy.signal is imported by the first resample that changes the rate."""
+    src = str(Path(barkspace.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_CHECK], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_resample_length_arithmetic():

@@ -362,6 +362,25 @@ def test_project_mismatched_feature_configs_is_data_error(checkpoints, corpus_di
     assert not out.exists()
 
 
+def test_project_non_finite_neutral_point_is_data_error_before_featurising(
+        checkpoints, tmp_path, monkeypatch, capsys):
+    ckpt = load_checkpoint(checkpoints["valence"])
+    ckpt.boundaries = evaluation.Boundaries(-math.inf, math.inf)
+    other = tmp_path / "valence.ckpt"
+    save_checkpoint(ckpt, other)
+
+    def featurise(*args):
+        raise AssertionError("featurised before the boundaries were checked")
+
+    monkeypatch.setattr(pipeline, "load_event_features", featurise)
+    out = tmp_path / "x.csv"
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(other), "--in", str(tmp_path / "none.csv"),
+               "--out", str(out)) == 2
+    assert "valence checkpoint's boundaries (-inf, inf)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_segment_two_bursts(tmp_path):
     t = np.arange(3000) / SR
     burst = 0.6 * np.sin(2 * np.pi * 800.0 * t)

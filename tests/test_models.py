@@ -112,8 +112,8 @@ def test_siamese_identities():
     rng = np.random.default_rng(0)
     params = nn.init_params(TOY_SPEC, 5)
     for _ in range(20):
-        xa = rng.uniform(0, 1, size=TOY_SHAPE[1:])
-        xb = rng.uniform(0, 1, size=TOY_SHAPE[1:])
+        xa = rng.uniform(0, 1, size=TOY_SHAPE)
+        xb = rng.uniform(0, 1, size=TOY_SHAPE)
         d_ab = siamese_forward(TOY_SPEC, params, xa, xb)
         d_ba = siamese_forward(TOY_SPEC, params, xb, xa)
         assert d_ab == -d_ba
@@ -123,10 +123,10 @@ def test_siamese_identities():
 def test_siamese_equals_scalar_difference():
     ckpt = toy_checkpoint(seed=9)
     rng = np.random.default_rng(1)
-    xa = rng.uniform(0, 1, size=TOY_SHAPE[1:])
-    xb = rng.uniform(0, 1, size=TOY_SHAPE[1:])
+    xa = rng.uniform(0, 1, size=TOY_SHAPE)
+    xb = rng.uniform(0, 1, size=TOY_SHAPE)
     lhs = siamese_forward(ckpt.net_spec, ckpt.params, xa, xb)
-    rhs = predict_many(ckpt, [xa])[0] - predict_many(ckpt, [xb])[0]
+    rhs = predict_many(ckpt, [xa[0]])[0] - predict_many(ckpt, [xb[0]])[0]
     assert abs(lhs - rhs) < 1e-12
 
 

@@ -55,55 +55,62 @@ def test_forward_zero_weights_zero_input():
     for entry in p.layers:
         if entry:
             entry["w"][:] = 0.0
-    y, _ = nn.forward(TINY, p, np.zeros((1, 6, 5)))
-    assert y.shape == (1,)
-    assert y[0] == 0.0
+    y, _ = nn.forward(TINY, p, np.zeros((1, 1, 6, 5)))
+    assert y.shape == (1, 1)
+    assert y[0, 0] == 0.0
 
 
 def test_forward_1x1_conv_closed_form():
     spec = nn.NetSpec((1, 3, 3), (nn.Conv2d(1, 1, 1),))
     p = nn.init_params(spec, 0)
     p.layers[0]["w"][:] = 0.75
-    y, _ = nn.forward(spec, p, np.full((1, 3, 3), 2.0))
-    assert y.shape == (1, 3, 3)
+    y, _ = nn.forward(spec, p, np.full((1, 1, 3, 3), 2.0))
+    assert y.shape == (1, 1, 3, 3)
     assert np.all(y == 1.5)
 
 
 def test_maxpool_value_and_truncation():
     spec = nn.NetSpec((1, 2, 2), (nn.MaxPool2x2(),))
     p = nn.init_params(spec, 0)
-    y, _ = nn.forward(spec, p, np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    assert y.shape == (1, 1, 1)
-    assert y[0, 0, 0] == 4.0
+    y, _ = nn.forward(spec, p, np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    assert y.shape == (1, 1, 1, 1)
+    assert y[0, 0, 0, 0] == 4.0
     spec = nn.NetSpec((1, 3, 5), (nn.MaxPool2x2(),))
-    y, _ = nn.forward(spec, nn.init_params(spec, 0), np.arange(15.0).reshape(1, 3, 5))
-    assert y.shape == (1, 1, 2)  # odd row/col truncated
+    y, _ = nn.forward(spec, nn.init_params(spec, 0), np.arange(15.0).reshape(1, 1, 3, 5))
+    assert y.shape == (1, 1, 1, 2)  # odd row/col truncated
 
 
 def test_forward_shape_mismatch():
     p = nn.init_params(TINY, 0)
     with pytest.raises(ValueError):
-        nn.forward(TINY, p, np.zeros((1, 5, 5)))
+        nn.forward(TINY, p, np.zeros((1, 1, 5, 5)))
+
+
+def test_forward_takes_only_a_batch():
+    """An input of the item shape itself, with no batch axis, is refused."""
+    p = nn.init_params(TINY, 0)
+    with pytest.raises(ValueError, match="does not match"):
+        nn.forward(TINY, p, np.zeros(TINY.input_shape))
 
 
 def test_dense_grad_closed_form():
     spec = nn.NetSpec((1, 1, 4), (nn.Flatten(), nn.Dense(1)))
     p = nn.init_params(spec, 3)
-    x = np.array([[[0.5, -1.0, 2.0, 0.25]]])
+    x = np.array([[[[0.5, -1.0, 2.0, 0.25]]]])
     y, tape = nn.forward(spec, p, x)
     grads, dx = nn.backward(spec, p, tape, np.ones_like(y))
     assert np.array_equal(grads[1]["w"], x.reshape(1, 4))
     assert np.array_equal(grads[1]["b"], np.array([1.0]))
-    assert np.array_equal(dx, p.layers[1]["w"].reshape(1, 1, 4))
+    assert np.array_equal(dx, p.layers[1]["w"].reshape(1, 1, 1, 4))
 
 
 def test_relu_blocks_gradient_at_negative_preactivation():
     spec = nn.NetSpec((1, 1, 2), (nn.Flatten(), nn.Dense(1), nn.Relu()))
     p = nn.init_params(spec, 1)
     p.layers[1]["w"][:] = 1.0
-    x = np.array([[[-2.0, -3.0]]])  # pre-activation -5 < 0
+    x = np.array([[[[-2.0, -3.0]]]])  # pre-activation -5 < 0
     y, tape = nn.forward(spec, p, x)
-    assert y[0] == 0.0
+    assert y[0, 0] == 0.0
     grads, dx = nn.backward(spec, p, tape, np.ones_like(y))
     assert np.all(grads[1]["w"] == 0.0)
     assert np.all(dx == 0.0)
@@ -112,17 +119,17 @@ def test_relu_blocks_gradient_at_negative_preactivation():
 def test_maxpool_gradient_goes_to_first_argmax_on_tie():
     spec = nn.NetSpec((1, 2, 2), (nn.MaxPool2x2(),))
     p = nn.init_params(spec, 0)
-    x = np.array([[[7.0, 7.0], [7.0, 7.0]]])
+    x = np.array([[[[7.0, 7.0], [7.0, 7.0]]]])
     y, tape = nn.forward(spec, p, x)
     _, dx = nn.backward(spec, p, tape, np.ones_like(y))
-    assert np.array_equal(dx, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+    assert np.array_equal(dx, np.array([[[[1.0, 0.0], [0.0, 0.0]]]]))
 
 
 def test_dense_is_linear_without_bias():
     spec = nn.NetSpec((1, 1, 6), (nn.Flatten(), nn.Dense(3)))
     p = nn.init_params(spec, 8)
     rng = np.random.default_rng(2)
-    x, y = rng.standard_normal((2, 1, 1, 6))
+    x, y = rng.standard_normal((2, 1, 1, 1, 6))
     a, b = 1.7, -0.3
     lhs, _ = nn.forward(spec, p, a * x + b * y)
     fx, _ = nn.forward(spec, p, x)
@@ -150,11 +157,11 @@ def test_gradients_match_finite_differences(spec):
 
 def test_backward_rejects_mismatched_tape():
     p = nn.init_params(TINY, 0)
-    _, tape = nn.forward(TINY, p, np.zeros((1, 6, 5)))
+    _, tape = nn.forward(TINY, p, np.zeros((1, 1, 6, 5)))
     other = nn.NetSpec((1, 6, 5), (nn.Conv2d(2, 3, 3), nn.Relu(), nn.Flatten(),
                                    nn.Dense(2), nn.Dense(1)))
     with pytest.raises(ValueError):
-        nn.backward(other, nn.init_params(other, 0), tape, np.zeros(1))
+        nn.backward(other, nn.init_params(other, 0), tape, np.zeros((1, 1)))
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -240,7 +247,7 @@ def test_forward_is_batch_invariant(dtype):
         parts = [nn.forward(spec, params, part)[0] for part in np.split(x, cuts)]
         assert np.array_equal(whole, np.concatenate(parts)), (b, cuts)
         k = int(rng.integers(0, b))
-        assert np.array_equal(whole[k], nn.forward(spec, params, x[k])[0])
+        assert np.array_equal(whole[k : k + 1], nn.forward(spec, params, x[k : k + 1])[0])
 
 
 def naive_pool(x, d):
@@ -424,8 +431,6 @@ def test_chunked_engine_is_bit_equal_to_unchunked(spec, dtype):
         upstream = rng.standard_normal(y.shape).astype(dtype)
         for input_grad in (True, False):
             assert_same_step(spec, params, x, upstream, input_grad)
-    # an unbatched input runs as a batch of one and comes back squeezed
-    assert_same_step(spec, params, x[0], upstream[0], True)
 
 
 def test_training_batch_is_bit_equal_to_unchunked():

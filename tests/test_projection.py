@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ def test_project_event_validation():
     bare = make_ckpt("arousal", 1, None)
     with pytest.raises(ValueError, match="boundaries"):
         project_event(bare, v_ckpt, "x", grids_for())
+
+
+@pytest.mark.parametrize("axis", ["arousal", "valence"])
+@pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (-math.inf, -math.inf),
+                                    (0.0, math.inf)], ids=["both", "both-low", "high"])
+def test_project_event_refuses_a_non_finite_neutral_point(axis, bounds):
+    """An infinite boundary puts every event at infinity or NaN on its axis."""
+    ckpts = {"arousal": make_ckpt("arousal", 1, Boundaries(-0.3, 0.5)),
+             "valence": make_ckpt("valence", 2, Boundaries(-0.1, 0.1))}
+    ckpts[axis].boundaries = Boundaries(*bounds)
+    with pytest.raises(ValueError, match=f"{axis} checkpoint's boundaries .* no finite "
+                                         "neutral point"):
+        project_event(ckpts["arousal"], ckpts["valence"], "x", grids_for())
 
 
 @pytest.mark.parametrize("field, value", [

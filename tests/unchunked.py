@@ -5,7 +5,7 @@ matrix. Tests use it as the oracle the chunked engine must match bit for bit.
 
 import numpy as np
 
-from barkspace.neuralnet import Conv2d, Dense, Flatten, MaxPool2x2, NetSpec, Params, Relu, Tape
+from barkspace.neuralnet import Conv2d, Dense, Flatten, MaxPool2x2, NetSpec, Params, Relu
 
 
 def _im2col(x, kh, kw):
@@ -100,20 +100,12 @@ def _pool_follows(layers, i) -> bool:
 
 
 def forward(spec: NetSpec, params: Params, x: np.ndarray):
-    """Run the network; returns (output, tape).
-
-    ``x`` may be a single input of spec.input_shape or a batch with a leading
-    batch axis. The output of a single input is squeezed accordingly (a
-    dense(1) head yields a python-float-compatible 0-d array).
+    """Run the network on a batch (B, *spec.input_shape); returns (output,
+    tape), the tape being the list of per-layer caches.
     """
     x = np.asarray(x)
-    batched = x.ndim == 4
-    if not batched:
-        if x.shape != tuple(spec.input_shape):
-            raise ValueError(f"input shape {x.shape} does not match spec {spec.input_shape}")
-        x = x[None]
-    elif x.shape[1:] != tuple(spec.input_shape):
-        raise ValueError(f"batch item shape {x.shape[1:]} does not match spec {spec.input_shape}")
+    if x.shape[1:] != tuple(spec.input_shape):
+        raise ValueError(f"input shape {x.shape} does not match a batch of {spec.input_shape}")
     if len(params.layers) != len(spec.layers):
         raise ValueError("params do not match spec layer count")
 
@@ -141,25 +133,21 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
             caches.append(x)
             # one (1,K)x(K,N) product per row: a row's bits do not depend on B
             x = np.matmul(x[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
-    y = x if batched else x[0]
-    return y, Tape(caches=caches, batched=batched, n_layers=len(spec.layers))
+    return x, caches
 
 
-def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
+def backward(spec: NetSpec, params: Params, tape: list, upstream: np.ndarray,
              *, input_grad: bool = True):
     """Reverse-mode gradients of the forward pass.
 
     ``upstream`` has the shape of the forward output. Returns (grads, dx)
     where grads mirrors the Params layout and dx is the gradient w.r.t. the
-    input (batch axis included iff the forward input had one). With
-    ``input_grad=False`` the walk stops at the first layer with parameters,
-    skipping the work that only dx needs, and dx is None.
+    input batch. With ``input_grad=False`` the walk stops at the first layer
+    with parameters, skipping the work that only dx needs, and dx is None.
     """
-    if tape.n_layers != len(spec.layers) or len(tape.caches) != len(spec.layers):
+    if len(tape) != len(spec.layers):
         raise ValueError("tape does not match spec")
     d = np.asarray(upstream)
-    if not tape.batched:
-        d = d[None]
 
     grads = [None] * len(spec.layers)
     stop = 0
@@ -167,7 +155,7 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
         stop = next((i for i, e in enumerate(params.layers) if e is not None), len(spec.layers))
     for i in range(len(spec.layers) - 1, stop - 1, -1):
         layer = spec.layers[i]
-        cache = tape.caches[i]
+        cache = tape[i]
         want_d = input_grad or i > stop
         if isinstance(layer, Conv2d):
             d, dw, db = _conv_backward(d, cache, params.layers[i]["w"], want_d)
@@ -177,7 +165,7 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
                 d = d * cache
         elif isinstance(layer, MaxPool2x2):
             if _pool_follows(spec.layers, i - 1):
-                d = d * tape.caches[i - 1]
+                d = d * tape[i - 1]
             d = _pool_backward(d, cache)
         elif isinstance(layer, Flatten):
             d = d.reshape(cache)
@@ -186,6 +174,4 @@ def backward(spec: NetSpec, params: Params, tape: Tape, upstream: np.ndarray,
             grads[i] = {"w": d.T @ xin, "b": d.sum(axis=0)}
             if want_d:
                 d = d @ params.layers[i]["w"]
-    if not input_grad:
-        return grads, None
-    return grads, (d if tape.batched else d[0])
+    return grads, (d if input_grad else None)
