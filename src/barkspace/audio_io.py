@@ -7,10 +7,11 @@ whatever the source recorder used.
 """
 
 import math
+import os
+import stat
 import struct
 import wave
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,13 +63,20 @@ def read_wav(path) -> AudioClip:
     bits of ``mean(axis=1) / 32768``.
 
     Raises:
-        FileNotFoundError: missing file.
-        WavFormatError: not a RIFF/WAVE container, or truncated chunks.
+        OSError: a path that cannot be opened.
+        WavFormatError: not a regular file (a FIFO or device is never read),
+            not a RIFF/WAVE container, or truncated chunks.
         UnsupportedWavError: non-PCM encoding, bit depth other than 16,
             more than two channels, or a sample rate outside
             [MIN_RATE_HZ, MAX_RATE_HZ].
     """
-    raw = Path(path).read_bytes()
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # returns at once, even on a FIFO
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        os.close(fd)
+        raise WavFormatError(f"{path}: not a regular file")
+    with open(fd, "rb") as fh:
+        raw = fh.read(info.st_size)
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 

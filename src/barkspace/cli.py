@@ -26,9 +26,7 @@ DATA_ERROR = 2
 INTERNAL_ERROR = 3
 
 _DATA_EXCEPTIONS = (
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
+    OSError,  # a missing, unreadable or unopenable input path
     WavFormatError,
     UnsupportedWavError,
     ManifestError,
@@ -49,7 +47,10 @@ def _load_config(path):
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: config is nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg

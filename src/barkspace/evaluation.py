@@ -47,25 +47,29 @@ def decode(v: float, b: Boundaries) -> OrdinalLabel:
 
 
 def _candidate_thresholds(sorted_distinct: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct values plus -inf/+inf sentinels.
+    """Midpoints between consecutive distinct values, plus the first value and
+    the next float above the last as finite sentinels.
 
     A midpoint that rounds onto its left neighbour is bumped to the right
     neighbour so that "predictions below candidate k" is exactly the first k
-    distinct values.
+    distinct values; the candidates are strictly increasing.
     """
     mids = 0.5 * (sorted_distinct[:-1] + sorted_distinct[1:])
     mids = np.where(mids <= sorted_distinct[:-1], sorted_distinct[1:], mids)
-    return np.concatenate(([-np.inf], mids, [np.inf]))
+    return np.concatenate((sorted_distinct[:1], mids,
+                           [np.nextafter(sorted_distinct[-1], np.inf)]))
 
 
 def calibrate_boundaries(train_predictions: Sequence[float],
                          train_labels: Sequence[OrdinalLabel]) -> Boundaries:
     """Exhaustively pick the threshold pair maximising training accuracy.
 
-    Candidates are midpoints between consecutive distinct predictions plus
-    -inf/+inf; ties go to the smallest (t_low, then t_high). All three label
-    classes must be present and every prediction finite: a diverged model
-    yields NaN or infinite scores and must not be given boundaries.
+    Candidates are ``_candidate_thresholds``: midpoints between consecutive
+    distinct predictions plus two finite sentinels, below which no prediction
+    and every prediction falls; ties go to the smallest (t_low, then t_high).
+    All three label classes must be present and every prediction finite: a
+    diverged model yields NaN or infinite scores and must not be given
+    boundaries.
     """
     preds = np.asarray(train_predictions, dtype=np.float64)
     labels = list(train_labels)
@@ -92,26 +96,17 @@ def calibrate_boundaries(train_predictions: Sequence[float],
     cum = np.zeros((3, m + 1), dtype=np.int64)
     cum[:, 1:] = np.cumsum(counts, axis=1)
     n_low, n_med, n_high = cum[0], cum[1], cum[2]
-    total_high = int(n_high[m])
 
     candidates = _candidate_thresholds(distinct)
     # accuracy(i, j) = n_low[i] + (n_med[j]-n_med[i]) + (total_high-n_high[j])
     #               = f(i) + g(j) + total_high  with i <= j
+    # The best i for a given j is the first argmax of f[:j+1], and the first
+    # occurrences give the smallest (t_low, t_high) among equal accuracies.
     f = n_low - n_med
     g = n_med - n_high
-
-    best = None  # (acc, t_low, t_high)
-    best_f = -(1 << 62)
-    best_i = 0
-    for j in range(m + 1):
-        if f[j] > best_f:
-            best_f = int(f[j])
-            best_i = j
-        acc = best_f + int(g[j]) + total_high
-        key = (-acc, candidates[best_i], candidates[j])
-        if best is None or key < best:
-            best = key
-    return Boundaries(float(best[1]), float(best[2]))
+    j = int(np.argmax(np.maximum.accumulate(f) + g))
+    i = int(np.argmax(f[: j + 1]))
+    return Boundaries(float(candidates[i]), float(candidates[j]))
 
 
 def accuracy(pred_labels: Sequence[OrdinalLabel],
@@ -223,7 +218,7 @@ class EvalReport:
                 for f in fields(self)}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":

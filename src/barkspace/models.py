@@ -16,10 +16,11 @@ and share the grids between both axes. ``predict_many`` is the one scorer;
 it runs the network in fixed chunks, which is exact because ``forward`` is
 batch-invariant, so an event scores the same bits alone or inside any batch.
 
-Checkpoints are a self-describing binary container ("BDN1"): JSON metadata,
-raw float32 tensors, and a trailing CRC32. Configs and layers are read back
-by ``from_json``, the one typed reader that also builds ``--config``
-sections, and configs are written as it types them.
+Checkpoints are a self-describing binary container ("BDN1"): JSON metadata
+(every ``Checkpoint`` field but ``params``, typed on reading by ``from_json``,
+the one typed reader, which also builds ``--config`` sections), raw float32
+tensors, and a trailing CRC32. ``_check_checkpoint`` holds every rule of a
+valid checkpoint; training, saving and loading all apply it.
 """
 
 import json
@@ -27,7 +28,7 @@ import math
 import struct
 import typing
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import neuralnet as nn
 from .audio_io import CANONICAL_RATE_HZ
-from .evaluation import Boundaries, event_score
+from .evaluation import _AS_IS, Boundaries, event_score
 from .features import FeatureConfig
 from .labels import DIMENSIONS, OrdinalLabel, label_from_value
 from .segmentation import SegmentationConfig
@@ -77,41 +78,6 @@ def from_json(cls, values, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-# a layer's tag in checkpoint metadata is its class name in lower case
-_LAYER_KINDS = {cls.__name__.lower(): cls for cls in typing.get_args(nn.Layer)}
-
-
-def _layer_from_json(entry, where: str) -> nn.Layer:
-    """The layer a checkpoint's ``{"kind": tag, **fields}`` entry describes."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    fields = dict(entry)
-    kind = fields.pop("kind", None)
-    if not (isinstance(kind, str) and kind in _LAYER_KINDS):
-        raise ValueError(f"{where}: unknown layer kind {kind!r}")
-    return from_json(_LAYER_KINDS[kind], fields, where)
-
-
-def _check_head(spec: nn.NetSpec) -> nn.NetSpec:
-    """``spec``, whose layer chain must hold and end in one output: the score."""
-    if spec.output_shape != (1,):
-        raise ValueError("regression head must end in dense(1)")
-    return spec
-
-
-def _check_input(spec: nn.NetSpec, feature_config: FeatureConfig,
-                 segmentation_config: SegmentationConfig) -> nn.NetSpec:
-    """``spec``, whose input must be three ints (a bool is none): the
-    (1, n_mels, n_time) grid that the two configs make of a frame."""
-    grid = (1, feature_config.n_mels,
-            (segmentation_config.target_len - feature_config.n_fft) // feature_config.hop + 1)
-    shape = spec.input_shape
-    if not (all(type(n) is int for n in shape) and tuple(shape) == grid):
-        raise ValueError(f"net input shape {list(shape)} is not the grid {list(grid)} "
-                         "of the feature and segmentation configs")
-    return spec
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     dimension: str
@@ -143,6 +109,57 @@ class Checkpoint:
     sample_rate_hz: int
     boundaries: Optional[Boundaries] = None
     version: int = CHECKPOINT_VERSION
+
+
+# float32 activations stay finite while every exact value is at most half the
+# float32 maximum: rounding moves a float32 sum of K terms by a relative
+# K * 6e-8 at most, far from a factor of 2 for any layer width in use
+_ACTIVATION_LIMIT = float(np.finfo(np.float32).max) / 2
+
+
+def _check_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+    """``ckpt``, if every command can score with it; else ValueError.
+
+    Rules: a known version, dimension tag and rate (every command featurises
+    at ``CANONICAL_RATE_HZ``); finite boundaries; a net input of three ints
+    that the two configs make of a frame, one output, and tensors of the
+    net's shapes; and weights that keep activations within float32 for every
+    input in [0, 1]. The bound after a layer is the largest row sum of
+    |weight| times the bound before it, plus |bias| (relu, max-pool and
+    flatten never raise it; a NaN or infinite weight fails it).
+    """
+    if ckpt.version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported version {ckpt.version!r}")
+    if ckpt.dimension not in DIMENSIONS:
+        raise ValueError(f"unknown dimension tag {ckpt.dimension!r}")
+    if ckpt.sample_rate_hz != CANONICAL_RATE_HZ:
+        raise ValueError(f"sample_rate_hz is {ckpt.sample_rate_hz}, not {CANONICAL_RATE_HZ}")
+    b = ckpt.boundaries
+    if b is not None and not (math.isfinite(b.t_low) and math.isfinite(b.t_high)):
+        raise ValueError(f"boundaries ({b.t_low}, {b.t_high}) are not finite")
+    spec, fc, sc = ckpt.net_spec, ckpt.feature_config, ckpt.segmentation_config
+    grid = (1, fc.n_mels, (sc.target_len - fc.n_fft) // fc.hop + 1)
+    if not (all(type(n) is int for n in spec.input_shape) and tuple(spec.input_shape) == grid):
+        raise ValueError(f"net input shape {list(spec.input_shape)} is not the grid {list(grid)} "
+                         "of the feature and segmentation configs")
+    if spec.output_shape != (1,):
+        raise ValueError("regression head must end in dense(1)")
+    shapes = nn.param_shapes(spec)
+    have = {name: np.shape(arr) for name, arr in ckpt.params.tensors()}
+    for name in sorted(shapes.keys() | have.keys()):
+        if have.get(name) != shapes.get(name):
+            raise ValueError(f"tensor {name!r} has shape {have.get(name)}, "
+                             f"the net spec needs {shapes.get(name)}")
+    bound = 1.0
+    for i, entry in enumerate(ckpt.params.layers):
+        if entry is None:
+            continue
+        rows = np.abs(entry["w"].astype(np.float64)).reshape(len(entry["w"]), -1).sum(axis=1)
+        bound = float(np.max(rows * bound + np.abs(entry["b"].astype(np.float64)), initial=0.0))
+        if not bound <= _ACTIVATION_LIMIT:
+            raise ValueError(f"tensors layer{i}.weight and layer{i}.bias can drive "
+                             "activations past the float32 range")
+    return ckpt
 
 
 @dataclass
@@ -240,12 +257,14 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     _check_training_set(values)
     labels = [label_from_value(float(v)) for v in values]
     x = _stack_features([f for f, _ in train_frames])
-    feature_config = feature_config or FeatureConfig()
-    segmentation_config = segmentation_config or SegmentationConfig()
-    spec = _check_input(_check_head(net_spec or nn.default_net_spec(input_shape=x.shape[1:])),
-                        feature_config, segmentation_config)
-
-    params = nn.init_params(spec, cfg.seed, dtype=np.float32)
+    spec = net_spec or nn.default_net_spec(input_shape=x.shape[1:])
+    ckpt = _check_checkpoint(Checkpoint(
+        dimension=cfg.dimension, seed=cfg.seed, net_spec=spec,
+        params=nn.init_params(spec, cfg.seed, dtype=np.float32),
+        feature_config=feature_config or FeatureConfig(),
+        segmentation_config=segmentation_config or SegmentationConfig(),
+        sample_rate_hz=CANONICAL_RATE_HZ))
+    params = ckpt.params
     state = nn.init_adam(params)
     history = []
     for epoch in range(cfg.epochs):
@@ -266,10 +285,6 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
                                    input_grad=False)
             nn.adam_step(params, grads, state, cfg.learning_rate)
         history.append(sum(losses) / len(perm))
-
-    ckpt = Checkpoint(dimension=cfg.dimension, seed=cfg.seed, net_spec=spec, params=params,
-                      feature_config=feature_config, segmentation_config=segmentation_config,
-                      sample_rate_hz=CANONICAL_RATE_HZ)
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
 
@@ -395,10 +410,8 @@ def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
 
 def save_tensor_file(path, named_arrays, meta: Optional[dict] = None) -> None:
     """Write named float32 arrays in the checkpoint's block format (BDF1)."""
-    full_meta = {"version": CHECKPOINT_VERSION, "kind": "tensors"}
-    full_meta.update(meta or {})
-    Path(path).write_bytes(_pack_container(TENSOR_FILE_MAGIC, full_meta,
-                                           list(named_arrays)))
+    full_meta = {"version": CHECKPOINT_VERSION, "kind": "tensors", **(meta or {})}
+    Path(path).write_bytes(_pack_container(TENSOR_FILE_MAGIC, full_meta, list(named_arrays)))
 
 
 def load_tensor_file(path) -> tuple[dict, dict]:
@@ -406,130 +419,88 @@ def load_tensor_file(path) -> tuple[dict, dict]:
     return _unpack_container(Path(path).read_bytes(), TENSOR_FILE_MAGIC, path)
 
 
+def _typed(x, where: str) -> dict:
+    """``asdict(x)`` as ``from_json`` reads it back: an int in a float field as a float."""
+    return asdict(from_json(type(x), asdict(x), where))
+
+
+def _record_codec(cls, key: str):
+    """(writer, reader) of a metadata field that holds a ``cls`` or null."""
+    return (lambda x: None if x is None else _typed(x, key),
+            lambda d: None if d is None else from_json(cls, d, key))
+
+
+# a layer's tag in checkpoint metadata is its class name in lower case
+_LAYER_KINDS = {cls.__name__.lower(): cls for cls in typing.get_args(nn.Layer)}
+
+
+def _net_spec_to_json(spec: nn.NetSpec) -> dict:
+    return {"input_shape": list(spec.input_shape),
+            "layers": [{"kind": type(l).__name__.lower(), **_typed(l, f"net_spec layer {i}")}
+                       for i, l in enumerate(spec.layers)]}
+
+
+def _net_spec_from_json(d) -> nn.NetSpec:
+    if not (isinstance(d, dict) and sorted(d) == ["input_shape", "layers"]
+            and isinstance(d["input_shape"], list) and isinstance(d["layers"], list)):
+        raise ValueError("net_spec must be a JSON object of an input_shape list and a layers list")
+    layers = []
+    for i, entry in enumerate(d["layers"]):
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        if not (isinstance(kind, str) and kind in _LAYER_KINDS):
+            raise ValueError(f"net_spec layer {i} is not a JSON object of a known layer kind")
+        layers.append(from_json(_LAYER_KINDS[kind], {k: v for k, v in entry.items() if k != "kind"},
+                                f"net_spec layer {i}"))
+    return nn.NetSpec(input_shape=tuple(d["input_shape"]), layers=tuple(layers))
+
+
+# the metadata record: every Checkpoint field but params, each written and read
+# through its (writer, reader) pair, or as it is when it is a plain JSON value
+_META_KEYS = sorted(f.name for f in fields(Checkpoint) if f.name != "params")
+_META_CODECS = {"net_spec": (_net_spec_to_json, _net_spec_from_json),
+                "feature_config": _record_codec(FeatureConfig, "feature_config"),
+                "segmentation_config": _record_codec(SegmentationConfig, "segmentation_config"),
+                "boundaries": _record_codec(Boundaries, "boundaries")}
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write the BDN1 container: JSON metadata, float32 tensors, CRC32.
-
-    Configs and boundaries are written as ``from_json`` reads them (an int
-    in a float field as a float), so a loaded checkpoint saves the same bytes.
-    """
-    def typed(x):
-        return asdict(from_json(type(x), asdict(x), type(x).__name__))
-
-    meta = {
-        "version": ckpt.version,
-        "dimension": ckpt.dimension,
-        "seed": ckpt.seed,
-        "sample_rate_hz": ckpt.sample_rate_hz,
-        "net_spec": {
-            "input_shape": list(ckpt.net_spec.input_shape),
-            "layers": [{"kind": type(l).__name__.lower(), **asdict(l)}
-                       for l in ckpt.net_spec.layers],
-        },
-        "feature_config": typed(ckpt.feature_config),
-        "segmentation_config": typed(ckpt.segmentation_config),
-        "boundaries": None if ckpt.boundaries is None else typed(ckpt.boundaries),
-    }
-    Path(path).write_bytes(
-        _pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors()))
-    )
-
-
-# float32 activations stay finite while every exact value is at most half the
-# float32 maximum: rounding moves a float32 sum of K terms by a relative
-# K * 6e-8 at most, far from a factor of 2 for any layer width in use
-_ACTIVATION_LIMIT = float(np.finfo(np.float32).max) / 2
-
-
-def _check_activation_range(layers: list, path):
-    """Raise CheckpointError unless the net's activations stay finite for
-    every input in [0, 1], the range of the log-mel grids.
-
-    A bound on |activation| after layer i is, over its output units, the
-    largest row sum of |weight| times the bound before it, plus |bias|;
-    relu, max-pool and flatten never raise the bound.
-    """
-    bound = 1.0
-    for i, entry in enumerate(layers):
-        if entry is None:
-            continue
-        w = np.abs(entry["w"].astype(np.float64))
-        rows = w.sum(axis=tuple(range(1, w.ndim)))
-        bound = float(np.max(rows * bound + np.abs(entry["b"].astype(np.float64)), initial=0.0))
-        if not bound <= _ACTIVATION_LIMIT:
-            raise CheckpointError(f"{path}: tensors layer{i}.weight and layer{i}.bias can "
-                                  f"drive activations past the float32 range")
-
-
-def _meta_field(meta: dict, key: str, kind, path):
-    """meta[key], which must be present and of type ``kind`` (bool is no int)."""
-    value = meta.get(key)
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise CheckpointError(f"{path}: metadata field {key!r} is missing or not "
-                              f"{kind.__name__}")
-    return value
+    """Write the BDN1 container, or raise ValueError and write nothing when a
+    field is not of its type or ``_check_checkpoint`` refuses ``ckpt``.
+    Records are written as ``from_json`` reads them (an int in a float field
+    as a float), so a loaded checkpoint saves the same bytes."""
+    _check_checkpoint(from_json(Checkpoint, vars(ckpt), "checkpoint"))
+    meta = {key: _META_CODECS.get(key, _AS_IS)[0](getattr(ckpt, key)) for key in _META_KEYS}
+    Path(path).write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
 
 
 def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
-    """Read and verify a BDN1 container.
-
-    Raises CheckpointError on a bad magic, version mismatch, truncation,
-    checksum failure, missing or mistyped metadata (configs and layers are
-    read by ``from_json``), a rate other than ``CANONICAL_RATE_HZ``, a net
-    input other than the grid of the configs, a net without one output, a
-    missing, unknown, misshapen or non-finite tensor, weights that could
-    drive an activation past the float32 range, or (when ``dimension`` is
-    given) a dimension-tag mismatch.
-    """
+    """Read a BDN1 container; CheckpointError, naming ``path``, on a bad
+    container or NaN/inf tensor, metadata that is not the record or that
+    ``from_json`` cannot type, a missing or unknown tensor, a checkpoint that
+    ``_check_checkpoint`` refuses, or a tag other than ``dimension``."""
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: metadata is not a JSON object")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {meta.get('version')!r}")
-    tag = _meta_field(meta, "dimension", str, path)
-    if tag not in DIMENSIONS:
-        raise CheckpointError(f"{path}: unknown dimension tag {tag!r}")
-    if dimension is not None and tag != dimension:
-        raise CheckpointError(f"{path}: dimension tag is {tag!r}, expected {dimension!r}")
-    seed = _meta_field(meta, "seed", int, path)
-    sample_rate_hz = _meta_field(meta, "sample_rate_hz", int, path)
-    if sample_rate_hz != CANONICAL_RATE_HZ:  # every command featurises at this rate
-        raise CheckpointError(f"{path}: sample_rate_hz is {sample_rate_hz}, not {CANONICAL_RATE_HZ}")
-    net = _meta_field(meta, "net_spec", dict, path)
-    b = meta.get("boundaries")
+    if not (isinstance(meta, dict) and sorted(meta) == _META_KEYS):
+        raise CheckpointError(f"{path}: metadata must be a JSON object with the keys "
+                              + ", ".join(_META_KEYS))
     try:
-        feature_config = from_json(FeatureConfig, meta.get("feature_config"), "feature_config")
-        segmentation_config = from_json(SegmentationConfig, meta.get("segmentation_config"),
-                                        "segmentation_config")
-        boundaries = None if b is None else from_json(Boundaries, b, "boundaries")
-        spec = _check_head(_check_input(nn.NetSpec(
-            input_shape=tuple(_meta_field(net, "input_shape", list, path)),
-            layers=tuple(_layer_from_json(d, f"net_spec layer {i}")
-                         for i, d in enumerate(_meta_field(net, "layers", list, path))),
-        ), feature_config, segmentation_config))
-        shapes = nn.param_shapes(spec)
-    except (TypeError, ValueError) as exc:
+        ckpt = from_json(Checkpoint, {**{key: _META_CODECS.get(key, _AS_IS)[1](value)
+                                         for key, value in meta.items()},
+                                      "params": nn.Params()}, "checkpoint")
+    except ValueError as exc:
         raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
-    for name, arr in tensors.items():
-        if name not in shapes:
-            raise CheckpointError(f"{path}: unknown tensor {name!r}")
-        if arr.shape != shapes[name]:
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {arr.shape}, "
-                                  f"the net spec needs {shapes[name]}")
-    for name in shapes:
-        if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
-    layers = [{"w": tensors[f"layer{i}.weight"], "b": tensors[f"layer{i}.bias"]}
-              if isinstance(layer, (nn.Conv2d, nn.Dense)) else None
-              for i, layer in enumerate(spec.layers)]
-    _check_activation_range(layers, path)
-    return Checkpoint(
-        dimension=tag,
-        seed=seed,
-        net_spec=spec,
-        params=nn.Params(layers=layers, seed=seed),
-        feature_config=feature_config,
-        segmentation_config=segmentation_config,
-        sample_rate_hz=sample_rate_hz,
-        boundaries=boundaries,
-        version=meta["version"],
-    )
+    if dimension is not None and ckpt.dimension != dimension:
+        raise CheckpointError(f"{path}: dimension tag is {ckpt.dimension!r}, "
+                              f"expected {dimension!r}")
+    try:
+        ckpt.params = nn.Params(layers=[
+            {"w": tensors.pop(f"layer{i}.weight"), "b": tensors.pop(f"layer{i}.bias")}
+            if isinstance(layer, (nn.Conv2d, nn.Dense)) else None
+            for i, layer in enumerate(ckpt.net_spec.layers)], seed=ckpt.seed)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing tensor {exc.args[0]!r}") from None
+    if tensors:
+        raise CheckpointError(f"{path}: unknown tensor {min(tensors)!r}")
+    try:
+        return _check_checkpoint(ckpt)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

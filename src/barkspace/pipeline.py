@@ -106,7 +106,9 @@ def train_dimension(events: Sequence[EventData], model_kind: str,
     """Train one dimension model and calibrate its decode boundaries.
 
     Boundaries come from the trained model's own predictions on the training
-    frames, the only absolute reference the twin-network scalar has.
+    frames, the only absolute reference the twin-network scalar has. Raises
+    ValueError when those predictions are not finite or all equal: a
+    diverged or collapsed model gets no checkpoint.
     """
     if model_kind not in ("baseline", "siamese"):
         raise ValueError(f"model must be baseline or siamese, got {model_kind!r}")
@@ -117,4 +119,7 @@ def train_dimension(events: Sequence[EventData], model_kind: str,
     labels = [ev.label(cfg.dimension) for ev in events for _ in ev.features]
     preds = models.predict_many(result.checkpoint, grids)
     result.checkpoint.boundaries = calibrate_boundaries(preds, labels)
+    if preds.min() == preds.max():
+        raise ValueError(f"training collapsed: every training frame scores {preds[0]}, "
+                         "so no boundaries can tell the classes apart")
     return result

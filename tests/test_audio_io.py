@@ -76,6 +76,13 @@ def test_missing_file(tmp_path):
         read_wav(tmp_path / "nope.wav")
 
 
+def test_directory_rejected(tmp_path):
+    """Only a regular file is read (a FIFO is tested from the CLI, in a process
+    of its own, since a read of one could block the test run)."""
+    with pytest.raises(WavFormatError, match="not a regular file"):
+        read_wav(tmp_path)
+
+
 def test_non_pcm_rejected(tmp_path):
     p = write(tmp_path, "f.wav", wav_bytes([0] * 10, 16000, fmt_tag=3))
     with pytest.raises(UnsupportedWavError):

@@ -1,11 +1,21 @@
+import csv
+import io
 import json
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import barkspace
 
 from barkspace import cli, evaluation, models, pipeline, projection
 from barkspace.audio_io import AudioClip, read_wav, write_wav
@@ -136,6 +146,24 @@ def test_exploding_training_is_data_error_and_saves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
+@pytest.mark.parametrize("flags, reason", [
+    (["--epochs", "1", "--batch", "256", "--lr", "1e8"],
+     "tensors layer9.weight and layer9.bias can drive activations past the float32 range"),
+    (["--epochs", "3", "--lr", "0.3"], "training collapsed: every training frame scores"),
+], ids=["weights-past-float32", "collapsed"])
+def test_train_saves_only_what_eval_loads(tmp_path, capsys, flags, reason):
+    """Both runs once exited 0: the first saved a file that ``eval`` refused,
+    the second infinite boundaries that decoded every event Medium."""
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", "5", "--n-events", "18", "--out", str(corpus)) == 0
+    out = tmp_path / "m.ckpt"
+    code = run("train", "--manifest", str(corpus / "manifest.csv"), "--dim", "arousal",
+               "--model", "baseline", *flags, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert reason in capsys.readouterr().err
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     assert run("train", "--manifest", str(tmp_path / "none.csv"), "--dim", "arousal",
                "--model", "baseline", "--out", str(tmp_path / "x.ckpt")) == 2
@@ -187,12 +215,21 @@ def test_eval_checkpoint_without_metadata_is_data_error(split_manifest, tmp_path
     assert "internal error" not in capsys.readouterr().err
 
 
+def _repack(source, bad, mutate):
+    """``source``'s checkpoint with its metadata and tensors edited by ``mutate``,
+    written to ``bad`` in the BDN1 layout past the checks of ``save_checkpoint``."""
+    blob = source.read_bytes()
+    meta = json.loads(blob[8 : 8 + int.from_bytes(blob[4:8], "little")])
+    tensors = dict(load_checkpoint(source).params.tensors())
+    mutate(meta, tensors)
+    bad.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
+
+
 def test_eval_misshapen_tensor_is_data_error_before_featurising(checkpoints, tmp_path,
                                                                capsys):
-    ckpt = load_checkpoint(checkpoints["arousal"])
-    ckpt.params.layers[7]["w"] = np.zeros((64, 10), np.float32)
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, bad)
+    _repack(checkpoints["arousal"], bad, lambda meta, tensors: tensors.update(
+        {"layer7.weight": np.zeros((64, 10), np.float32)}))
     # no manifest exists: only a check made before featurising can name the tensor
     code = run("eval", "--model", str(bad), "--manifest", str(tmp_path / "none.csv"),
                "--report", str(tmp_path / "r.json"))
@@ -242,12 +279,8 @@ def _head_of(width):
 def test_eval_malformed_checkpoint_metadata_is_data_error(checkpoints, split_manifest,
                                                           tmp_path, capsys, mutate):
     """Each of these once loaded, and ``eval`` exited 3, or 0 on a wrong model."""
-    blob = checkpoints["arousal"].read_bytes()
-    meta = json.loads(blob[8 : 8 + int.from_bytes(blob[4:8], "little")])
-    tensors = dict(load_checkpoint(checkpoints["arousal"]).params.tensors())
-    mutate(meta, tensors)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
+    _repack(checkpoints["arousal"], bad, mutate)
     report = tmp_path / "r.json"
     code = run("eval", "--model", str(bad), "--manifest", str(split_manifest),
                "--report", str(report))
@@ -364,8 +397,9 @@ def test_project_mismatched_feature_configs_is_data_error(checkpoints, corpus_di
 
 def test_project_non_finite_neutral_point_is_data_error_before_featurising(
         checkpoints, tmp_path, monkeypatch, capsys):
+    """Finite boundaries whose midpoint overflows: only ``project`` refuses them."""
     ckpt = load_checkpoint(checkpoints["valence"])
-    ckpt.boundaries = evaluation.Boundaries(-math.inf, math.inf)
+    ckpt.boundaries = evaluation.Boundaries(1e308, 1.7e308)
     other = tmp_path / "valence.ckpt"
     save_checkpoint(ckpt, other)
 
@@ -377,8 +411,30 @@ def test_project_non_finite_neutral_point_is_data_error_before_featurising(
     assert run("project", "--arousal-model", str(checkpoints["arousal"]),
                "--valence-model", str(other), "--in", str(tmp_path / "none.csv"),
                "--out", str(out)) == 2
-    assert "valence checkpoint's boundaries (-inf, inf)" in capsys.readouterr().err
+    assert "valence checkpoint's boundaries (1e+308, 1.7e+308)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, math.inf), (0.0, math.inf)],
+                         ids=["both", "high"])
+@pytest.mark.parametrize("command", ["eval", "project"])
+def test_infinite_boundaries_are_data_error(checkpoints, corpus_dir, tmp_path, capsys,
+                                            command, bounds):
+    """Such a checkpoint saved at an earlier version decoded every event Medium
+    and wrote "-Infinity" into the report; now it does not load."""
+    bad = tmp_path / "bad.ckpt"
+    _repack(checkpoints["arousal"], bad, lambda meta, tensors: meta.update(
+        boundaries={"t_low": bounds[0], "t_high": bounds[1]}))
+    out = tmp_path / "out.json"
+    manifest = str(corpus_dir / "manifest.csv")
+    if command == "eval":
+        code = run("eval", "--model", str(bad), "--manifest", manifest, "--report", str(out))
+    else:
+        code = run("project", "--arousal-model", str(bad), "--valence-model",
+                   str(checkpoints["valence"]), "--in", manifest, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert f"{bad}: boundaries ({bounds[0]}, {bounds[1]}) are not finite" in err
 
 
 def test_segment_two_bursts(tmp_path):
@@ -587,10 +643,11 @@ def test_malformed_config_is_data_error_and_saves_nothing(corpus_dir, tmp_path, 
 @pytest.mark.parametrize("command", ["eval", "project"])
 def test_non_finite_weight_is_data_error_and_writes_nothing(checkpoints, corpus_dir, tmp_path,
                                                             capsys, command):
-    ckpt = load_checkpoint(checkpoints["arousal"])
-    ckpt.params.layers[0]["w"][0, 0, 1, 1] = np.inf
+    def infinite_weight(meta, tensors):
+        tensors["layer0.weight"][0, 0, 1, 1] = np.inf
+
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, bad)
+    _repack(checkpoints["arousal"], bad, infinite_weight)
     out = tmp_path / "out.json"
     manifest = str(corpus_dir / "manifest.csv")
     if command == "eval":
@@ -600,3 +657,121 @@ def test_non_finite_weight_is_data_error_and_writes_nothing(checkpoints, corpus_
                    str(checkpoints["valence"]), "--in", manifest, "--out", str(out))
     assert code == 2 and not out.exists()
     assert "'layer0.weight' holds NaN or infinite" in capsys.readouterr().err
+
+
+def _manifest(path, rows, encoding="utf-8"):
+    """A manifest at ``path`` with a split column and ``rows`` of 5 cells each."""
+    text = io.StringIO()
+    csv.writer(text).writerows([["path", "event_id", "arousal", "valence", "split"], *rows])
+    path.write_bytes(text.getvalue().encode(encoding, errors="replace"))
+    return path
+
+
+@pytest.mark.parametrize("wav", ["a" * 5000 + ".wav", "manifest.csv/x.wav", "."],
+                         ids=["name-too-long", "through-a-file", "directory"])
+def test_eval_unreadable_manifest_row_is_data_error(checkpoints, tmp_path, capsys, wav):
+    """Each of these rows once made ``eval`` exit 3."""
+    manifest = _manifest(tmp_path / "manifest.csv", [[wav, "ev0", "high", "low", "test"]])
+    report = tmp_path / "r.json"
+    code = run("eval", "--model", str(checkpoints["arousal"]), "--manifest", str(manifest),
+               "--report", str(report))
+    err = capsys.readouterr().err
+    assert code == 2 and not report.exists()
+    assert str(tmp_path / wav) in err and "internal error" not in err
+
+
+def test_deeply_nested_config_is_data_error(tmp_path, capsys):
+    """100 000 unclosed brackets once made ``segment`` exit 3 (RecursionError)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    out = tmp_path / "events"
+    code = run("segment", "--in", str(tmp_path / "none.wav"), "--out", str(out),
+               "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert f"{cfg}: config is nested too deeply" in err
+
+
+def test_fifo_input_is_data_error(checkpoints, tmp_path):
+    """A FIFO is refused without a read: a blocking open of one never returns,
+    so each command runs in a process of its own, under a timeout."""
+    fifo = tmp_path / "x.wav"
+    os.mkfifo(fifo)
+    manifest = _manifest(tmp_path / "manifest.csv", [["x.wav", "ev0", "high", "low", "test"]])
+    src = str(Path(barkspace.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["segment", "--in", str(fifo), "--out", str(tmp_path / "events")],
+                 ["eval", "--model", str(checkpoints["arousal"]), "--manifest", str(manifest),
+                  "--report", str(tmp_path / "r.json")]):
+        done = subprocess.run([sys.executable, "-m", "barkspace.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert f"{fifo}: not a regular file" in done.stderr
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "events" / "index.json").exists()
+
+
+# manifest paths that name nothing a WAV can be read from, relative to the manifest
+_BAD_WAV_PATHS = ["missing.wav", "a" * 5000 + ".wav", "manifest.csv/x.wav", ".",
+                  "manifest.csv", "empty.wav", "nul\x00.wav"]
+# cells that are mostly valid, so that many manifests parse and their paths get read
+_IDS = st.sampled_from(["ev0", "ev1", "ev2", "", "évent"])
+_LABELS = st.sampled_from(["high", "Medium", "low", "positive", "neutral", "negative", "",
+                           "hígh", "x\x00"])
+_SPLITS = st.sampled_from(["test", "", "train", "TEST", "tést"])
+_ROWS = st.lists(st.tuples(st.sampled_from(_BAD_WAV_PATHS), _IDS, _LABELS, _LABELS, _SPLITS)
+                 .map(list), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=_ROWS, encoding=st.sampled_from(["utf-8", "latin-1", "utf-16"]))
+def test_eval_generated_manifest_rows_exit_1_or_2(checkpoints, tmp_path, capsys, rows,
+                                                   encoding):
+    """No row's path reads as a WAV, so no run can succeed; none may exit 3."""
+    (tmp_path / "empty.wav").write_bytes(b"")
+    manifest = _manifest(tmp_path / "manifest.csv", rows, encoding)
+    report = tmp_path / "r.json"
+    code = run("eval", "--model", str(checkpoints["arousal"]), "--manifest", str(manifest),
+               "--report", str(report))
+    assert code in (1, 2), capsys.readouterr().err
+    assert not report.exists()
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                     max_leaves=8)
+# every generated value is wrong for every segmentation field
+_WRONG = st.none() | st.booleans() | st.text(max_size=4) | st.integers(-5, 0) \
+    | st.lists(st.integers(), max_size=2) | st.just(math.nan)
+_SECTION = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+    st.dictionaries(st.sampled_from([*asdict(SegmentationConfig())]) | st.text(max_size=6),
+                    _WRONG, min_size=1, max_size=3))
+
+
+def _is_json_object(text: str) -> bool:
+    try:
+        return isinstance(json.loads(text), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.one_of(
+    st.integers(1, 100_000).map(lambda n: "[" * n),
+    _JSON.map(json.dumps).filter(lambda t: not _is_json_object(t)),
+    st.text(max_size=40).filter(lambda t: not _is_json_object(t)),
+    _SECTION.map(lambda section: json.dumps({"segmentation": section})),
+), encoding=st.sampled_from(["utf-8", "utf-16"]))
+def test_segment_generated_config_bodies_exit_1_or_2(tmp_path, capsys, body, encoding):
+    """No body is a valid config, so no run can succeed; none may exit 3."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(body.encode(encoding, errors="surrogatepass"))
+    out = tmp_path / "events"
+    code = run("segment", "--in", str(tmp_path / "none.wav"), "--out", str(out),
+               "--config", str(cfg))
+    assert code in (1, 2), capsys.readouterr().err
+    assert not out.exists()

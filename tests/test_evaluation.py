@@ -5,7 +5,7 @@ import pytest
 
 from barkspace import neuralnet as nn
 from barkspace.evaluation import (Boundaries, ConfusionMatrix, EvalReport,
-                                  UndefinedMetricError, accuracy,
+                                  UndefinedMetricError, _candidate_thresholds, accuracy,
                                   calibrate_boundaries, decode, evaluate,
                                   evaluate_scored_events, event_level_split,
                                   event_score, tap)
@@ -65,6 +65,23 @@ def test_calibration_spec_example():
     assert train_accuracy(preds, labels, b) == 1.0
 
 
+@pytest.mark.parametrize("preds, labels, expected", [
+    ([0.7] * 6, [L, L, L, M, H, H], L),
+    ([0.7] * 6, [M, M, M, L, H, H], M),
+    ([0.7] * 6, [H, H, H, L, M, M], H),
+    ([0.0, 1.0, 2.0, 3.0], [L, M, M, H], None),
+], ids=["all-low", "all-medium", "all-high", "separable"])
+def test_calibration_boundaries_are_finite(preds, labels, expected):
+    """A threshold that no prediction falls below, or that every one does, is
+    the lowest prediction or the next float above the highest, never -inf or
+    inf: the sentinels decode as the infinities did."""
+    b = calibrate_boundaries(preds, labels)
+    assert np.isfinite([b.t_low, b.t_high]).all()
+    assert train_accuracy(preds, labels, b) == brute_force_best_accuracy(preds, labels)
+    if expected is not None:
+        assert {decode(v, b) for v in preds} == {expected}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_calibration_rejects_non_finite_predictions(bad):
     preds = [-1.0, bad, 0.0, 0.1, 1.0, 1.1]
@@ -98,6 +115,33 @@ def test_calibration_matches_grid_oracle_on_random_sets():
         b = calibrate_boundaries(preds, labels)
         assert train_accuracy(preds, labels, b) == pytest.approx(
             brute_force_best_accuracy(preds, labels)), trial
+
+
+def exhaustive_boundaries(preds, labels) -> Boundaries:
+    """Reference search: every candidate pair t_low <= t_high, scored by the
+    decode rule; ties go to the smallest (t_low, then t_high)."""
+    preds, truth = np.asarray(preds), np.asarray([int(l) for l in labels])
+    best = max(
+        (int(np.sum(np.where(preds < lo, 0, np.where(preds < hi, 1, 2)) == truth)), -lo, -hi)
+        for lo, hi in itertools.combinations_with_replacement(
+            _candidate_thresholds(np.unique(preds)), 2))
+    return Boundaries(-best[1], -best[2])
+
+
+@pytest.mark.parametrize("kind", ["normal", "tied-integers", "constant"])
+def test_calibration_equals_exhaustive_search(kind):
+    """The O(n) search picks the same pair as trying every pair, ties included."""
+    rng = np.random.default_rng(["normal", "tied-integers", "constant"].index(kind))
+    for trial in range(150):
+        n = int(rng.integers(3, 30))
+        labels = [L, M, H] + [OrdinalLabel(int(k)) for k in rng.integers(0, 3, size=n - 3)]
+        if kind == "normal":
+            preds = rng.normal(size=n) + rng.uniform(0, 2) * np.asarray([int(l) for l in labels])
+        elif kind == "tied-integers":
+            preds = rng.integers(-2, 3, size=n).astype(float)
+        else:
+            preds = np.full(n, rng.normal())
+        assert calibrate_boundaries(preds, labels) == exhaustive_boundaries(preds, labels), trial
 
 
 def test_calibration_additive_shift_invariance():

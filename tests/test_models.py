@@ -3,7 +3,7 @@ import math
 import struct
 import zlib
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -338,9 +338,10 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 def test_checkpoint_version_mismatch(tmp_path):
     ckpt = toy_checkpoint()
-    ckpt.version = 99
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, path)
+    meta = _saved_meta(tmp_path, ckpt)
+    meta["version"] = 99
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
@@ -423,6 +424,13 @@ def _wrong_kinds():
                  id="input-shape-float"),
     pytest.param(lambda m: m["net_spec"].update(input_shape=[True, 16, 9]),
                  id="input-shape-bool"),
+    pytest.param(lambda m: m.update(bogus=1), id="unknown-key"),
+    pytest.param(lambda m: m.pop("version"), id="no-version"),
+    pytest.param(lambda m: m.pop("boundaries"), id="no-boundaries"),
+    pytest.param(lambda m: m.update(version=True), id="version-bool"),
+    pytest.param(lambda m: m["net_spec"].update(bogus=1), id="net-spec-unknown-key"),
+    pytest.param(lambda m: m["boundaries"].update(t_low=-math.inf), id="boundary-minus-inf"),
+    pytest.param(lambda m: m["boundaries"].update(t_high=math.inf), id="boundary-inf"),
     *_wrong_kinds(),
 ])
 def test_checkpoint_malformed_metadata_is_checkpoint_error(tmp_path, mutate):
@@ -467,14 +475,15 @@ def test_checkpoint_head_must_have_one_output(tmp_path, out_units):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(tensors.items())))
     reason = ("regression head must end in dense(1)" if out_units
-              else "net_spec layer 6: dense out_units must be positive")
+              else "malformed metadata: net_spec layer 6: dense out_units must be positive")
     with pytest.raises(CheckpointError) as err:
         load_checkpoint(path)
-    assert str(err.value) == f"{path}: malformed metadata: {reason}"
+    assert str(err.value) == f"{path}: {reason}"
     if out_units:
         wide = nn.NetSpec(TOY_SHAPE, TOY_SPEC.layers[:-1] + (nn.Dense(out_units),))
         with pytest.raises(ValueError, match=r"dense\(1\)"):
-            train_baseline(toy_set(2), TrainConfig(dimension="arousal", epochs=1), net_spec=wide)
+            train_baseline(toy_set(2), TrainConfig(dimension="arousal", epochs=1),
+                           **dict(TOY, net_spec=wide))
 
 
 @pytest.mark.parametrize("x", [
@@ -508,6 +517,64 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
         save_checkpoint(ckpt, tmp_path / "a.ckpt")
         save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_metadata_keys_are_the_checkpoint_fields(tmp_path):
+    meta = _saved_meta(tmp_path, toy_checkpoint(boundaries=Boundaries(-0.5, 0.5)))
+    assert sorted(meta) == sorted(f.name for f in fields(Checkpoint) if f.name != "params")
+
+
+def _misshapen(ckpt):
+    ckpt.params.layers[4]["w"] = np.zeros((8, 10), np.float32)
+
+
+def _set_tensor(layer, key, index, value):
+    """An edit that sets ``ckpt.params.layers[layer][key][index]`` to ``value``."""
+    def edit(ckpt):
+        ckpt.params.layers[layer][key][index] = value
+    return edit
+
+
+def _past_float32(ckpt):
+    for i in (0, 4):
+        ckpt.params.layers[i]["w"][:] = 1e30
+
+
+def _wide_head(ckpt):
+    ckpt.net_spec = nn.NetSpec(TOY_SHAPE, TOY_SPEC.layers[:-1] + (nn.Dense(2),))
+    ckpt.params = nn.init_params(ckpt.net_spec, 0, dtype=np.float32)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda c: setattr(c, "version", 99), id="version"),
+    pytest.param(lambda c: setattr(c, "version", True), id="version-bool"),
+    pytest.param(lambda c: setattr(c, "seed", 1.0), id="seed-float"),
+    pytest.param(lambda c: setattr(c, "dimension", "pitch"), id="dimension-unknown"),
+    pytest.param(lambda c: setattr(c, "sample_rate_hz", 44100), id="sample-rate-44100"),
+    pytest.param(lambda c: setattr(c, "sample_rate_hz", 22050.0), id="sample-rate-float"),
+    pytest.param(lambda c: setattr(c, "boundaries", Boundaries(-math.inf, math.inf)),
+                 id="boundaries-infinite"),
+    pytest.param(lambda c: setattr(c, "boundaries", Boundaries(0.0, math.inf)),
+                 id="boundary-high-infinite"),
+    pytest.param(lambda c: setattr(c, "feature_config", FeatureConfig()), id="input-not-grid"),
+    pytest.param(lambda c: setattr(c, "feature_config", replace(TOY_FEATURES, fmin=False)),
+                 id="feature-bool"),
+    pytest.param(lambda c: setattr(c, "net_spec", nn.NetSpec(
+        TOY_SHAPE, (nn.Conv2d(4.0, 3, 3),) + TOY_SPEC.layers[1:])), id="layer-float"),
+    pytest.param(_wide_head, id="dense-2-head"),
+    pytest.param(_misshapen, id="misshapen-tensor"),
+    pytest.param(_set_tensor(0, "w", (1, 0, 2, 0), np.nan), id="nan"),
+    pytest.param(_set_tensor(0, "w", (1, 0, 2, 0), np.inf), id="inf"),
+    pytest.param(_set_tensor(6, "b", 0, -np.inf), id="-inf"),
+    pytest.param(_past_float32, id="past-float32"),
+])
+def test_save_checkpoint_refuses_what_load_refuses_and_writes_nothing(tmp_path, edit):
+    ckpt = toy_checkpoint(boundaries=Boundaries(-0.5, 0.5))
+    edit(ckpt)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError):
+        save_checkpoint(ckpt, path)
+    assert not path.exists()
 
 
 def test_checkpoint_metadata_not_an_object(tmp_path):
@@ -571,9 +638,10 @@ def test_tensor_file_reads_back_what_the_raw_layout_holds(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_checkpoint_non_finite_tensor_is_checkpoint_error(tmp_path, bad):
     ckpt = toy_checkpoint()
+    meta = _saved_meta(tmp_path, ckpt)
     ckpt.params.layers[0]["w"][1, 0, 2, 0] = bad
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, path)
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
     with pytest.raises(CheckpointError, match="'layer0.weight' holds NaN or infinite"):
         load_checkpoint(path)
 
@@ -597,7 +665,8 @@ def test_checkpoint_weights_that_can_overflow_float32_are_checkpoint_error(tmp_p
     assert np.isfinite(predict_many(load_checkpoint(path), grids)).all()
     ckpt.params.layers[0]["w"][:] = 1e30
     assert not np.isfinite(predict_many(ckpt, grids)).all()
-    save_checkpoint(ckpt, path)
+    path.write_bytes(_pack_container(CHECKPOINT_MAGIC, _saved_meta(tmp_path, toy_checkpoint()),
+                                     list(ckpt.params.tensors())))
     with pytest.raises(CheckpointError, match="layer4.weight .*float32 range"):
         load_checkpoint(path)
 
