@@ -25,11 +25,11 @@ MIN_RATE_HZ = 1_000
 MAX_RATE_HZ = 384_000
 
 
-class WavFormatError(Exception):
+class WavFormatError(ValueError):
     """Malformed or truncated RIFF/WAVE container."""
 
 
-class UnsupportedWavError(Exception):
+class UnsupportedWavError(ValueError):
     """Well-formed WAV that is not 16-bit PCM with 1 or 2 channels."""
 
 

@@ -13,11 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import models, pipeline, projection
-from .audio_io import (CANONICAL_RATE_HZ, AudioClip, UnsupportedWavError,
-                       WavFormatError, read_wav, resample, write_wav)
-from .corpus import (ManifestError, SynthConfig, load_manifest, save_manifest,
-                     synth_corpus)
-from .evaluation import UndefinedMetricError, class_histograms, evaluate, event_level_split
+from .audio_io import CANONICAL_RATE_HZ, AudioClip, read_wav, resample, write_wav
+from .corpus import SynthConfig, load_manifest, save_manifest, synth_corpus
+from .evaluation import class_histograms, evaluate, event_level_split
 from .features import FeatureConfig
 from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
 
@@ -25,15 +23,9 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 INTERNAL_ERROR = 3
 
-_DATA_EXCEPTIONS = (
-    OSError,  # a missing, unreadable or unopenable input path
-    WavFormatError,
-    UnsupportedWavError,
-    ManifestError,
-    UndefinedMetricError,
-    models.CheckpointError,
-    ValueError,
-)
+# a missing, unreadable or unopenable input path, or bad data: every data
+# error class of the package is a ValueError
+_DATA_EXCEPTIONS = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,11 +92,12 @@ def cmd_segment(args) -> int:
     else:
         raise FileNotFoundError(f"no such file or directory: {in_path}")
 
+    # --out is made just before a file is written into it, so a bad input leaves none
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     for wav in wavs:
         for seg in _recording_events(wav, seg_cfg):
+            out_dir.mkdir(parents=True, exist_ok=True)
             write_wav(out_dir / f"{seg.event_id}.wav", AudioClip(seg.samples, CANONICAL_RATE_HZ))
             index.append({
                 "event_id": seg.event_id,
@@ -112,6 +105,7 @@ def cmd_segment(args) -> int:
                 "end_sample": seg.end_sample,
                 "source_path": str(wav),
             })
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "index.json").write_text(json.dumps(index, indent=2))
     if args.verbose:
         print(f"wrote {len(index)} event(s) to {out_dir}")

@@ -49,7 +49,7 @@ _COMBO_ORDER = (
 )
 
 
-class ManifestError(Exception):
+class ManifestError(ValueError):
     """Malformed manifest: bad header, bad row, bad token, or duplicate id."""
 
 

@@ -21,7 +21,7 @@ _LABEL_KEYS = ("low", "medium", "high")
 HISTOGRAM_BINS = 50
 
 
-class UndefinedMetricError(Exception):
+class UndefinedMetricError(ValueError):
     """Raised when a metric's denominator is empty; never silently 0."""
 
 

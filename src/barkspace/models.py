@@ -46,7 +46,7 @@ TENSOR_FILE_MAGIC = b"BDF1"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     """Unreadable, corrupt, or mismatched checkpoint file."""
 
 

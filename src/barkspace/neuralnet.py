@@ -9,12 +9,12 @@ activations, one entry per layer, which ``backward`` replays for exact
 reverse-mode gradients. Everything is a pure function of its arrays, so two
 runs with the same seed produce bit-identical trajectories.
 
-Execution order differs from the layer order in one place: a relu directly
-before a maxpool2x2 runs after the pool, on 4x fewer cells, with its mask
-cached at pooled shape in the relu's tape slot. This is exact, ties
-included. Where a window's max is > 0, the positive cells keep their values
-and order under relu, so the same cell wins and gets the same gradient.
-Where it is <= 0, the output is 0 and the gradient is 0 under either order.
+Layers run in ``_order``: layer order, except that a relu directly before
+a maxpool2x2 runs after the pool, on 4x fewer cells, with its mask cached
+at pooled shape in the relu's tape slot. This is exact, ties included.
+Where a window's max is > 0, the positive cells keep their values and
+order under relu, so the same cell wins and gets the same gradient. Where
+it is <= 0, the output is 0 and the gradient is 0 under either order.
 
 Max-pooling copies its input once into four contiguous window planes
 (top-left, top-right, bottom-left, bottom-right) and runs a strict ``>``
@@ -31,11 +31,12 @@ pooling, relu and flatten are elementwise. A dense layer runs as one
 (1,K)x(K,N) product per row rather than one (B,K)x(K,N) GEMM, whose
 blocking, and so whose rounding, depends on B.
 
-``forward`` walks the batch once, ``CHUNK`` items at a time, each chunk
-through every layer before the next one starts, so its work arrays stay
-small and in cache. ``backward`` runs the head, the layers from the first
-flatten or dense on, on the whole batch, since a dense weight gradient is
-one GEMM over the batch, and the trunk before it chunk by chunk. A conv
+``forward`` walks ``_order``, ``CHUNK`` items at a time, each chunk through
+every layer before the next one starts, so its work arrays stay small and
+in cache. ``backward`` walks it in reverse through one step per layer
+kind: over the head, the layers from the first flatten or dense on, with
+the whole batch as one chunk, since a dense weight gradient is one GEMM
+over the batch, then over the trunk before it, chunk by chunk. A conv
 layer caches its input, not its im2col patch matrix, and backward rebuilds
 each chunk's patches: compute traded for memory, as in Chen et al.,
 "Training Deep Nets with Sublinear Memory Cost" (2016). Conv weight and bias
@@ -394,11 +395,10 @@ def _pool_forward(x):
     y_bits = _bits(y)
     y_bits ^= diff
     idx = 2 * take_bot.view(np.int8) + right.view(np.int8)
-    return y, (idx, x.shape)
+    return y, idx
 
 
-def _pool_backward(d, cache):
-    idx, xshape = cache
+def _pool_backward(d, idx, xshape):
     h2, w2 = xshape[2] // 2, xshape[3] // 2
     dx = np.zeros(xshape, dtype=d.dtype)
     for k in range(4):
@@ -409,10 +409,14 @@ def _pool_backward(d, cache):
     return dx
 
 
-def _pool_follows(layers, i) -> bool:
-    """True for a Relu at ``i`` directly before a MaxPool2x2; it runs after the pool."""
-    return (0 <= i < len(layers) - 1 and isinstance(layers[i], Relu)
-            and isinstance(layers[i + 1], MaxPool2x2))
+def _order(layers) -> list:
+    """Layer indices in the order they run: layer order, except that a Relu
+    directly before a MaxPool2x2 runs after it."""
+    order = list(range(len(layers)))
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i], Relu) and isinstance(layers[i + 1], MaxPool2x2):
+            order[i], order[i + 1] = i + 1, i
+    return order
 
 
 def _trunk_end(layers) -> int:
@@ -439,9 +443,9 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
     """Run the network on a batch ``x`` of shape (B, *spec.input_shape);
     returns (output, tape).
 
-    The batch runs chunk by chunk through every layer. The tape is the list
-    of per-layer caches, each a whole-batch array (a flatten's is the
-    whole-batch input shape), which ``backward`` consumes.
+    The batch runs chunk by chunk through every layer in ``_order``. The
+    tape, which ``backward`` consumes, is the list of per-layer caches: a
+    whole-batch array for each layer but a flatten, whose slot is None.
     """
     x = np.asarray(x)
     if x.shape[1:] != tuple(spec.input_shape):
@@ -449,28 +453,24 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
     if len(params.layers) != len(spec.layers):
         raise ValueError("params do not match spec layer count")
     layers = spec.layers
+    order = _order(layers)
     caches = [None] * len(layers)
     n = len(x)
     out = None
     for lo in _chunk_starts(n):
         h = x[lo : lo + CHUNK]
-        for i, layer in enumerate(layers):
+        for i in order:
+            layer = layers[i]
             if isinstance(layer, Conv2d):
                 caches[i] = _keep(caches[i], h, lo, n)
                 h, _ = _conv_forward(h, params.layers[i]["w"], params.layers[i]["b"])
             elif isinstance(layer, Relu):
-                if _pool_follows(layers, i):
-                    continue  # the pool fills in this layer's mask
                 caches[i] = _keep(caches[i], h > 0, lo, n)
                 h = np.maximum(h, 0)
             elif isinstance(layer, MaxPool2x2):
-                h, (idx, _) = _pool_forward(h)
+                h, idx = _pool_forward(h)
                 caches[i] = _keep(caches[i], idx, lo, n)
-                if _pool_follows(layers, i - 1):
-                    caches[i - 1] = _keep(caches[i - 1], h > 0, lo, n)
-                    h = np.maximum(h, 0)
             elif isinstance(layer, Flatten):
-                caches[i] = (n,) + h.shape[1:]
                 h = h.reshape(len(h), -1)
             elif isinstance(layer, Dense):
                 caches[i] = _keep(caches[i], h, lo, n)
@@ -478,47 +478,6 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
                 h = np.matmul(h[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
         out = _keep(out, h, lo, n)
     return out, caches
-
-
-def _trunk_backward(spec: NetSpec, params: Params, caches: list, d, end: int, stop: int,
-                    input_grad: bool, grads: list):
-    """Walk layers [stop, end) back chunk by chunk, rebuilding each conv's
-    patches from its cached input; returns the whole-batch dx, or None when
-    ``input_grad`` is False. Conv gradients are built per item and summed
-    over the batch once, so the chunking does not change their bits."""
-    layers = spec.layers
-    in_shapes = [tuple(spec.input_shape)] + spec.output_shapes()
-    n = len(d)
-    stacks = {}
-    dx = None
-    for lo in _chunk_starts(n):
-        g = d[lo : lo + CHUNK]
-        rows = slice(lo, lo + len(g))
-        for i in range(end - 1, stop - 1, -1):
-            layer = layers[i]
-            if isinstance(layer, Conv2d):
-                x, w = caches[i][rows], params.layers[i]["w"]
-                if i not in stacks:
-                    # numpy sums a one-channel d over (0, 2, 3) as one flat
-                    # pairwise sum, which no per-item terms reproduce: keep d
-                    o = w.shape[0]
-                    stacks[i] = (np.empty((n, o, w[0].size), np.result_type(g, x)),
-                                 np.empty((n, o, 1, 1) if o > 1 else (n,) + g.shape[1:], g.dtype))
-                dw, db = stacks[i]
-                g = _conv_backward(g, x, w, dw[rows], db[rows], input_grad or i > stop)
-            elif isinstance(layer, Relu):
-                if not _pool_follows(layers, i):
-                    g = g * caches[i][rows]
-            elif isinstance(layer, MaxPool2x2):
-                if _pool_follows(layers, i - 1):
-                    g = g * caches[i - 1][rows]
-                g = _pool_backward(g, (caches[i][rows], (len(g),) + in_shapes[i]))
-        if input_grad:
-            dx = _keep(dx, g, lo, n)
-    for i, (dw, db) in stacks.items():
-        grads[i] = {"w": dw.sum(axis=0).reshape(params.layers[i]["w"].shape),
-                    "b": db.sum(axis=(0, 2, 3))}
-    return dx
 
 
 def backward(spec: NetSpec, params: Params, tape: list, upstream: np.ndarray,
@@ -532,25 +491,58 @@ def backward(spec: NetSpec, params: Params, tape: list, upstream: np.ndarray,
     """
     if len(tape) != len(spec.layers):
         raise ValueError("tape does not match spec")
+    layers = spec.layers
+    in_shapes = [tuple(spec.input_shape)] + spec.output_shapes()
     d = np.asarray(upstream)
-    grads = [None] * len(spec.layers)
+    n = len(d)
+    grads = [None] * len(layers)
+    stacks = {}  # conv layer -> per-item (dw, db) terms of the whole batch
     stop = 0
     if not input_grad:
-        stop = next((i for i, e in enumerate(params.layers) if e is not None), len(spec.layers))
-    end = _trunk_end(spec.layers)
-    for i in range(len(spec.layers) - 1, max(end, stop) - 1, -1):
-        layer = spec.layers[i]
-        cache = tape[i]
+        stop = next((i for i, e in enumerate(params.layers) if e is not None), len(layers))
+
+    def step(i, g, rows):
+        """Layer i's backward on the items ``rows`` of the batch."""
+        layer, cache = layers[i], tape[i]
+        want_d = input_grad or i > stop
+        if isinstance(layer, Conv2d):
+            x, w = cache[rows], params.layers[i]["w"]
+            if i not in stacks:
+                # numpy sums a one-channel d over (0, 2, 3) as one flat
+                # pairwise sum, which no per-item terms reproduce: keep d
+                o = w.shape[0]
+                stacks[i] = (np.empty((n, o, w[0].size), np.result_type(g, x)),
+                             np.empty((n, o, 1, 1) if o > 1 else (n,) + g.shape[1:], g.dtype))
+            dw, db = stacks[i]
+            return _conv_backward(g, x, w, dw[rows], db[rows], want_d)
         if isinstance(layer, Relu):
-            d = d * cache
-        elif isinstance(layer, Flatten):
-            d = d.reshape(cache)
-        elif isinstance(layer, Dense):
-            grads[i] = {"w": d.T @ cache, "b": d.sum(axis=0)}
-            if input_grad or i > stop:
-                d = d @ params.layers[i]["w"]
-    if stop < end:
-        d = _trunk_backward(spec, params, tape, d, end, stop, input_grad, grads)
+            return g * cache[rows]
+        if isinstance(layer, MaxPool2x2):
+            return _pool_backward(g, cache[rows], (len(g),) + in_shapes[i])
+        if isinstance(layer, Flatten):
+            return g.reshape((len(g),) + in_shapes[i])
+        # a dense layer sits in the head, which runs as one chunk: one GEMM over the batch
+        grads[i] = {"w": g.T @ cache, "b": g.sum(axis=0)}
+        return g @ params.layers[i]["w"] if want_d else None
+
+    end = _trunk_end(layers)
+    steps = [i for i in reversed(_order(layers)) if i >= stop]
+    head, trunk = [i for i in steps if i >= end], [i for i in steps if i < end]
+    for i in head:
+        d = step(i, d, slice(0, n))
+    if trunk:
+        dx = None
+        for lo in _chunk_starts(n):
+            g = d[lo : lo + CHUNK]
+            rows = slice(lo, lo + len(g))
+            for i in trunk:
+                g = step(i, g, rows)
+            if input_grad:
+                dx = _keep(dx, g, lo, n)
+        d = dx
+        for i, (dw, db) in stacks.items():
+            grads[i] = {"w": dw.sum(axis=0).reshape(params.layers[i]["w"].shape),
+                        "b": db.sum(axis=(0, 2, 3))}
     return grads, (d if input_grad else None)
 
 

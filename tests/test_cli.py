@@ -484,6 +484,17 @@ def test_segment_missing_input_is_data_error(tmp_path):
                "--out", str(tmp_path / "o")) == 2
 
 
+def test_segment_truncated_wav_is_data_error_and_writes_nothing(tmp_path, capsys):
+    """The first 30 bytes of a WAV: exit 2 with no ``--out`` directory left behind."""
+    wav = tmp_path / "trunc.wav"
+    write_wav(wav, AudioClip(0.5 * np.ones(4000), SR))
+    wav.write_bytes(wav.read_bytes()[:30])
+    out = tmp_path / "events"
+    assert run("segment", "--in", str(wav), "--out", str(out)) == 2
+    assert not out.exists()
+    assert "internal error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", [999, 4_294_967_291])
 def test_segment_unsupported_sample_rate_is_data_error_without_resampling(
         tmp_path, monkeypatch, capsys, rate):
@@ -708,7 +719,7 @@ def test_fifo_input_is_data_error(checkpoints, tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 2, done.stderr
         assert f"{fifo}: not a regular file" in done.stderr
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "events" / "index.json").exists()
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "events").exists()
 
 
 # manifest paths that name nothing a WAV can be read from, relative to the manifest

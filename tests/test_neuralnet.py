@@ -386,6 +386,12 @@ ORACLE_SPECS = [
     nn.NetSpec((1, 1, 4), (nn.Flatten(), nn.Dense(2), nn.Relu(), nn.Dense(1))),
     nn.NetSpec((2, 9, 7), (nn.Conv2d(1, 2, 2), nn.Relu(), nn.MaxPool2x2(), nn.Flatten(),
                            nn.Dense(1))),
+    # adjacent relu/pool chains: only the relu directly before a pool runs after it
+    nn.NetSpec((2, 7, 6), (nn.Relu(), nn.Relu(), nn.MaxPool2x2())),
+    nn.NetSpec((1, 11, 10), (nn.Conv2d(2, 2, 2), nn.Relu(), nn.MaxPool2x2(), nn.Relu(),
+                             nn.MaxPool2x2(), nn.Flatten(), nn.Dense(1))),
+    nn.NetSpec((2, 6, 5), (nn.MaxPool2x2(), nn.Relu(), nn.Flatten(), nn.Dense(3), nn.Relu(),
+                           nn.Dense(1))),
 ]
 
 
@@ -421,7 +427,8 @@ def tied_batch(rng, spec, b, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=["default-net", "relu-first", "conv-only",
                                                     "relu-pool", "dense-only",
-                                                    "one-channel-conv"])
+                                                    "one-channel-conv", "relu-relu-pool",
+                                                    "relu-pool-twice", "pool-relu-head"])
 def test_chunked_engine_is_bit_equal_to_unchunked(spec, dtype):
     rng = np.random.default_rng(31)
     params = nn.init_params(spec, 4, dtype=dtype)
