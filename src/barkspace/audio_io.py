@@ -165,8 +165,7 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     from scipy.signal import resample_poly
 
     g = math.gcd(target_hz, src_hz)
+    # resample_poly gives ceil(n_in * target / src) samples, never fewer than n_out
     out = resample_poly(clip.samples, target_hz // g, src_hz // g)
-    if len(out) < n_out:
-        out = np.pad(out, (0, n_out - len(out)))
     out = np.clip(out[:n_out], -1.0, 1.0)
     return AudioClip(out, target_hz)

@@ -16,7 +16,7 @@ from . import models, pipeline, projection
 from .audio_io import CANONICAL_RATE_HZ, AudioClip, read_wav, resample, write_wav
 from .corpus import SynthConfig, load_manifest, save_manifest, synth_corpus
 from .evaluation import class_histograms, evaluate, event_level_split
-from .features import FeatureConfig
+from .features import FeatureConfig, grid_shape
 from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
 
 USAGE_ERROR = 1
@@ -71,6 +71,14 @@ def _seg_config(args, config) -> SegmentationConfig:
     })
 
 
+def _front_end(args, config) -> tuple[SegmentationConfig, FeatureConfig]:
+    """The segmentation and feature configs, if ``grid_shape`` accepts them."""
+    seg_cfg = _seg_config(args, config)
+    feat_cfg = _section(args.config, config, "features", FeatureConfig, {})
+    grid_shape(feat_cfg, seg_cfg.target_len)
+    return seg_cfg, feat_cfg
+
+
 def _recording_events(path: Path, seg_cfg) -> list:
     """The non-silent spans of the WAV at ``path`` at the canonical rate; an
     empty recording has none, and a zero-energy span holds nothing to score."""
@@ -113,9 +121,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    config = _load_config(args.config)
-    seg_cfg = _seg_config(args, config)
-    feat_cfg = _section(args.config, config, "features", FeatureConfig, {})
+    seg_cfg, feat_cfg = _front_end(args, _load_config(args.config))
     in_path = Path(args.in_path)
     clip = read_wav(in_path)
     grids = pipeline.featurise(pipeline.frames_of_clip(clip, in_path.stem, seg_cfg), feat_cfg)
@@ -125,7 +131,7 @@ def cmd_featurize(args) -> int:
                 "n_mels": feat_cfg.n_mels, "sample_rate_hz": CANONICAL_RATE_HZ}
         models.save_tensor_file(args.out, [(f"frame{i:04d}", g) for i, g in enumerate(grids)],
                                 meta)
-    elif args.format == "csv":
+    else:  # argparse's choices allow only bin and csv
         with open(args.out, "w") as fh:
             n_time = grids[0].shape[1]
             fh.write("frame,band," + ",".join(f"t{j}" for j in range(n_time)) + "\n")
@@ -133,8 +139,6 @@ def cmd_featurize(args) -> int:
                 for band in range(g.shape[0]):
                     row = ",".join(f"{v:.6g}" for v in g[band])
                     fh.write(f"{i},{band},{row}\n")
-    else:
-        raise ValueError(f"unknown format {args.format!r}")
     if args.verbose:
         print(f"featurized {len(grids)} frame(s) from {in_path} -> {args.out}")
     return 0
@@ -177,8 +181,7 @@ def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
 
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    seg_cfg = _seg_config(args, config)
-    feat_cfg = _section(args.config, config, "features", FeatureConfig, {})
+    seg_cfg, feat_cfg = _front_end(args, config)
     cfg = _section(args.config, config, "train", models.TrainConfig, {
         "dimension": args.dim, "epochs": args.epochs, "batch_size": args.batch,
         "learning_rate": args.lr, "seed": args.seed,
@@ -212,8 +215,8 @@ def cmd_eval(args) -> int:
 
 def cmd_project(args) -> int:
     """Featurise each event once; both axes score the same grids."""
-    arousal_ckpt = models.load_checkpoint(args.arousal_model, dimension="arousal")
-    valence_ckpt = models.load_checkpoint(args.valence_model, dimension="valence")
+    arousal_ckpt = models.load_checkpoint(args.arousal_model)
+    valence_ckpt = models.load_checkpoint(args.valence_model)
     projection.check_pair(arousal_ckpt, valence_ckpt)
     seg_cfg, feat_cfg = arousal_ckpt.segmentation_config, arousal_ckpt.feature_config
 

@@ -5,7 +5,7 @@ power grid is divided by its own maximum before the log, so the features are
 invariant to the gain of the input frame: the whole chain from microphone
 distance to recorder trim cancels out, and no training-corpus statistics are
 needed at projection time. With the defaults (n_fft 512, hop 128, no
-centering) a 5120-sample frame yields 37 time columns.
+centering) a 5120-sample frame yields 37 time columns (``grid_shape``).
 """
 
 import math
@@ -18,6 +18,9 @@ from .audio_io import CANONICAL_RATE_HZ
 from .segmentation import Frame
 
 _POWER_FLOOR = 1e-10
+
+# the most elements any one front-end array of a frame may hold: 8 MB of float64
+_MAX_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,23 @@ class FeatureConfig:
             raise ValueError("fmax must be finite and above fmin")
 
 
+def grid_shape(cfg: FeatureConfig, target_len: int) -> tuple[int, int]:
+    """(n_mels, n_time) of the grid ``log_mel`` makes of a ``target_len``-sample
+    frame; ValueError when the frame is shorter than n_fft, or when the frame,
+    its windowed STFT matrix, the mel filterbank or the grid would hold more
+    than ``_MAX_ELEMENTS`` elements."""
+    if target_len < cfg.n_fft:
+        raise ValueError(f"frame of {target_len} samples is shorter than n_fft={cfg.n_fft}")
+    n_time = (target_len - cfg.n_fft) // cfg.hop + 1
+    sizes = {"frame": target_len, "STFT matrix": n_time * cfg.n_fft,
+             "mel filterbank": cfg.n_mels * (cfg.n_fft // 2 + 1), "grid": cfg.n_mels * n_time}
+    for name, size in sizes.items():
+        if size > _MAX_ELEMENTS:
+            raise ValueError(f"the feature and segmentation configs make a {name} of {size} "
+                             f"elements, more than the front end's bound of {_MAX_ELEMENTS}")
+    return cfg.n_mels, n_time
+
+
 def hz_to_mel(f):
     """mel(f) = 2595 * log10(1 + f/700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -57,25 +77,19 @@ def _frame_samples(frame) -> np.ndarray:
     return np.asarray(frame, dtype=np.float64)
 
 
-def stft_power(frame, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Hann-windowed, non-centered power spectrogram, shape (n_fft//2+1, n_time).
-
-    n_time = floor((len - n_fft)/hop) + 1; the frame must be at least n_fft
-    samples long.
+def stft_power(frame, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Hann-windowed, non-centered power spectrogram, shape (n_fft//2+1, n_time),
+    for a frame that ``grid_shape`` accepts.
     """
-    cfg = cfg or FeatureConfig()
     x = _frame_samples(frame)
     if x.ndim != 1:
         raise ValueError(f"frame must be one-dimensional, got shape {x.shape}")
-    n = len(x)
-    if n < cfg.n_fft:
-        raise ValueError(f"frame of {n} samples is shorter than n_fft={cfg.n_fft}")
+    _, n_time = grid_shape(cfg, len(x))
 
     # one read-only view of the hop-strided frames; row i is x[i*hop : i*hop+n_fft]
     (step,) = x.strides
-    cols = np.lib.stride_tricks.as_strided(
-        x, shape=((n - cfg.n_fft) // cfg.hop + 1, cfg.n_fft),
-        strides=(cfg.hop * step, step), writeable=False)
+    cols = np.lib.stride_tricks.as_strided(x, shape=(n_time, cfg.n_fft),
+                                           strides=(cfg.hop * step, step), writeable=False)
     spec = np.fft.rfft(cols * _hann_memo(cfg.n_fft), axis=1)
     return (spec.real**2 + spec.imag**2).T
 
@@ -98,7 +112,13 @@ def _mel_edges_hz(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
+def mel_filterbank(sample_rate_hz: int, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Triangular mel filterbank, shape (n_mels, n_fft//2+1), peak weight 1.
+
+    Centers are equally spaced on the mel scale between fmin and fmax and
+    adjacent triangles meet at each other's centers. The matrix is memoized
+    per (sample_rate, config) and returned read-only.
+    """
     bin_hz = np.arange(cfg.n_fft // 2 + 1) * sample_rate_hz / cfg.n_fft
     edges_hz = _mel_edges_hz(sample_rate_hz, cfg)
     lower = edges_hz[:-2, None]
@@ -111,22 +131,13 @@ def _mel_filterbank_memo(sample_rate_hz: int, cfg: FeatureConfig) -> np.ndarray:
     return fb
 
 
-def mel_filterbank(sample_rate_hz: int, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, n_fft//2+1), peak weight 1.
-
-    Centers are equally spaced on the mel scale between fmin and fmax and
-    adjacent triangles meet at each other's centers. The matrix is memoized
-    per (sample_rate, config) and returned read-only.
-    """
-    return _mel_filterbank_memo(int(sample_rate_hz), cfg or FeatureConfig())
-
-
-def mel_center_frequencies(sample_rate_hz: int, cfg: FeatureConfig | None = None) -> np.ndarray:
+def mel_center_frequencies(sample_rate_hz: int,
+                           cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Center frequency (Hz) of each mel filter."""
-    return _mel_edges_hz(sample_rate_hz, cfg or FeatureConfig())[1:-1]
+    return _mel_edges_hz(sample_rate_hz, cfg)[1:-1]
 
 
-def log_mel(frame, cfg: FeatureConfig | None = None,
+def log_mel(frame, cfg: FeatureConfig = FeatureConfig(),
             sample_rate_hz: int = CANONICAL_RATE_HZ) -> np.ndarray:
     """Gain-invariant log-mel grid in [0, 1], shape (n_mels, n_time).
 
@@ -135,7 +146,6 @@ def log_mel(frame, cfg: FeatureConfig | None = None,
     affinely so the floor is 0.0 and the maximum exactly 1.0. A frame with no
     energy at all maps to all zeros.
     """
-    cfg = cfg or FeatureConfig()
     power = stft_power(frame, cfg)
     mel_power = mel_filterbank(sample_rate_hz, cfg) @ power
 

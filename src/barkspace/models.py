@@ -37,7 +37,7 @@ import numpy as np
 from . import neuralnet as nn
 from .audio_io import CANONICAL_RATE_HZ
 from .evaluation import _AS_IS, Boundaries, event_score
-from .features import FeatureConfig
+from .features import FeatureConfig, grid_shape
 from .labels import DIMENSIONS, OrdinalLabel, label_from_value
 from .segmentation import SegmentationConfig
 
@@ -122,11 +122,11 @@ def _check_checkpoint(ckpt: Checkpoint) -> Checkpoint:
 
     Rules: a known version, dimension tag and rate (every command featurises
     at ``CANONICAL_RATE_HZ``); finite boundaries; a net input of three ints
-    that the two configs make of a frame, one output, and tensors of the
-    net's shapes; and weights that keep activations within float32 for every
-    input in [0, 1]. The bound after a layer is the largest row sum of
-    |weight| times the bound before it, plus |bias| (relu, max-pool and
-    flatten never raise it; a NaN or infinite weight fails it).
+    equal to the ``features.grid_shape`` of its configs, one output, and
+    tensors of the net's shapes; and weights that keep activations within
+    float32 for every input in [0, 1]. The bound after a layer is the largest
+    row sum of |weight| times the bound before it, plus |bias| (relu,
+    max-pool and flatten never raise it; a NaN or infinite weight fails it).
     """
     if ckpt.version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported version {ckpt.version!r}")
@@ -138,7 +138,7 @@ def _check_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     if b is not None and not (math.isfinite(b.t_low) and math.isfinite(b.t_high)):
         raise ValueError(f"boundaries ({b.t_low}, {b.t_high}) are not finite")
     spec, fc, sc = ckpt.net_spec, ckpt.feature_config, ckpt.segmentation_config
-    grid = (1, fc.n_mels, (sc.target_len - fc.n_fft) // fc.hop + 1)
+    grid = (1, *grid_shape(fc, sc.target_len))
     if not (all(type(n) is int for n in spec.input_shape) and tuple(spec.input_shape) == grid):
         raise ValueError(f"net input shape {list(spec.input_shape)} is not the grid {list(grid)} "
                          "of the feature and segmentation configs")
@@ -242,8 +242,8 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
 
 
 def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, examples,
-         net_spec: Optional[nn.NetSpec], feature_config: Optional[FeatureConfig],
-         segmentation_config: Optional[SegmentationConfig]) -> TrainResult:
+         net_spec: Optional[nn.NetSpec], feature_config: FeatureConfig,
+         segmentation_config: SegmentationConfig) -> TrainResult:
     """Adam on the MSE between each example's prediction and its target.
 
     ``examples(labels, epoch)`` gives frame indices ``first`` and ``second``
@@ -261,8 +261,7 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     ckpt = _check_checkpoint(Checkpoint(
         dimension=cfg.dimension, seed=cfg.seed, net_spec=spec,
         params=nn.init_params(spec, cfg.seed, dtype=np.float32),
-        feature_config=feature_config or FeatureConfig(),
-        segmentation_config=segmentation_config or SegmentationConfig(),
+        feature_config=feature_config, segmentation_config=segmentation_config,
         sample_rate_hz=CANONICAL_RATE_HZ))
     params = ckpt.params
     state = nn.init_adam(params)
@@ -290,8 +289,8 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
 
 def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
                    *, net_spec: Optional[nn.NetSpec] = None,
-                   feature_config: Optional[FeatureConfig] = None,
-                   segmentation_config: Optional[SegmentationConfig] = None) -> TrainResult:
+                   feature_config: FeatureConfig = FeatureConfig(),
+                   segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
     """Mean-squared-error regression of the numeric label value of each frame."""
     def examples(labels, epoch):
         return (np.arange(len(labels)), None,
@@ -302,8 +301,8 @@ def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainC
 
 def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
                   *, net_spec: Optional[nn.NetSpec] = None,
-                  feature_config: Optional[FeatureConfig] = None,
-                  segmentation_config: Optional[SegmentationConfig] = None) -> TrainResult:
+                  feature_config: FeatureConfig = FeatureConfig(),
+                  segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
     """Train the shared head to regress ordered numeric label differences.
 
     Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
@@ -473,11 +472,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     Path(path).write_bytes(_pack_container(CHECKPOINT_MAGIC, meta, list(ckpt.params.tensors())))
 
 
-def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     """Read a BDN1 container; CheckpointError, naming ``path``, on a bad
     container or NaN/inf tensor, metadata that is not the record or that
-    ``from_json`` cannot type, a missing or unknown tensor, a checkpoint that
-    ``_check_checkpoint`` refuses, or a tag other than ``dimension``."""
+    ``from_json`` cannot type, a missing or unknown tensor, or a checkpoint
+    that ``_check_checkpoint`` refuses. Either axis tag loads."""
     meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
     if not (isinstance(meta, dict) and sorted(meta) == _META_KEYS):
         raise CheckpointError(f"{path}: metadata must be a JSON object with the keys "
@@ -488,9 +487,6 @@ def load_checkpoint(path, dimension: Optional[str] = None) -> Checkpoint:
                                       "params": nn.Params()}, "checkpoint")
     except ValueError as exc:
         raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
-    if dimension is not None and ckpt.dimension != dimension:
-        raise CheckpointError(f"{path}: dimension tag is {ckpt.dimension!r}, "
-                              f"expected {dimension!r}")
     try:
         ckpt.params = nn.Params(layers=[
             {"w": tensors.pop(f"layer{i}.weight"), "b": tensors.pop(f"layer{i}.bias")}

@@ -233,12 +233,8 @@ class XorShift64Star:
         self._state = state if state != 0 else 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= (x >> 12)
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= (x >> 27)
-        self._state = x
-        return (x * self.MULT) & _MASK64
+        self._state = _xorshift(self._state)
+        return (self._state * self.MULT) & _MASK64
 
     def _next_states(self, n: int) -> np.ndarray:
         """The states that n ``next_u64`` calls would step through, in order."""

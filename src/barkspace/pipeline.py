@@ -25,12 +25,11 @@ from .segmentation import EventSegment, Frame, SegmentationConfig, frame_segment
 
 @dataclass
 class EventData:
-    """One labeled event with its featurised frames."""
+    """One labeled event, a manifest row, with its featurised frames."""
 
     event_id: str
     arousal: OrdinalLabel
     valence: OrdinalLabel
-    split: Optional[str] = None
     features: list = field(default_factory=list)
 
     def label(self, dimension: str) -> OrdinalLabel:
@@ -38,9 +37,8 @@ class EventData:
 
 
 def frames_of_clip(clip, event_id: str,
-                   seg_cfg: Optional[SegmentationConfig] = None) -> list[Frame]:
+                   seg_cfg: SegmentationConfig = SegmentationConfig()) -> list[Frame]:
     """Resample to the canonical rate and frame the whole clip as one event."""
-    seg_cfg = seg_cfg or SegmentationConfig()
     clip = resample(clip, CANONICAL_RATE_HZ)
     if len(clip.samples) == 0:
         raise ValueError(f"event {event_id}: empty audio")
@@ -54,12 +52,10 @@ def featurise(frames: Sequence[Frame], feat_cfg: FeatureConfig) -> list[np.ndarr
 
 
 def load_event_features(entries: Sequence[ManifestEntry], base_dir,
-                        seg_cfg: Optional[SegmentationConfig] = None,
-                        feat_cfg: Optional[FeatureConfig] = None) -> list[EventData]:
+                        seg_cfg: SegmentationConfig = SegmentationConfig(),
+                        feat_cfg: FeatureConfig = FeatureConfig()) -> list[EventData]:
     """Read, frame, and featurise every manifest row."""
     base_dir = Path(base_dir)
-    seg_cfg = seg_cfg or SegmentationConfig()
-    feat_cfg = feat_cfg or FeatureConfig()
     out = []
     for e in entries:
         wav_path = Path(e.path)
@@ -67,7 +63,7 @@ def load_event_features(entries: Sequence[ManifestEntry], base_dir,
             wav_path = base_dir / wav_path
         clip = read_wav(wav_path)
         grids = featurise(frames_of_clip(clip, e.event_id, seg_cfg), feat_cfg)
-        out.append(EventData(e.event_id, e.arousal, e.valence, e.split, grids))
+        out.append(EventData(e.event_id, e.arousal, e.valence, grids))
     return out
 
 
@@ -85,24 +81,24 @@ def evaluation_events(events: Sequence[EventData], dimension: str):
     return [(ev.event_id, ev.label(dimension), ev.features) for ev in events]
 
 
-def select_split(rows: Sequence, split: Optional[str]) -> list:
-    """Rows (manifest entries or events) tagged ``split``.
+def select_split(entries: Sequence[ManifestEntry], split: Optional[str]) -> list:
+    """Manifest entries tagged ``split``.
 
-    When no row carries that tag, the untagged rows are chosen instead, so an
-    unsplit manifest serves every selection.
+    When no entry carries that tag, the untagged entries are chosen instead,
+    so an unsplit manifest serves every selection.
     """
     if split is None:
-        return list(rows)
-    chosen = [row for row in rows if row.split == split]
+        return list(entries)
+    chosen = [e for e in entries if e.split == split]
     if chosen:
         return chosen
-    return [row for row in rows if row.split is None]
+    return [e for e in entries if e.split is None]
 
 
 def train_dimension(events: Sequence[EventData], model_kind: str,
                     cfg: models.TrainConfig,
-                    *, seg_cfg: Optional[SegmentationConfig] = None,
-                    feat_cfg: Optional[FeatureConfig] = None) -> models.TrainResult:
+                    *, seg_cfg: SegmentationConfig = SegmentationConfig(),
+                    feat_cfg: FeatureConfig = FeatureConfig()) -> models.TrainResult:
     """Train one dimension model and calibrate its decode boundaries.
 
     Boundaries come from the trained model's own predictions on the training

@@ -76,7 +76,7 @@ def _require(ckpt: Checkpoint, dimension: str) -> Boundaries:
     """``ckpt``'s boundaries, whose neutral point must be finite: an infinite
     boundary would put every event at infinity or NaN on this axis."""
     if ckpt.dimension != dimension:
-        raise ValueError(f"checkpoint is tagged {ckpt.dimension!r}, expected {dimension!r}")
+        raise ValueError(f"{dimension} checkpoint is tagged {ckpt.dimension!r}, not {dimension!r}")
     b = ckpt.boundaries
     if b is None:
         raise ValueError(f"{dimension} checkpoint has no calibrated boundaries")

@@ -64,7 +64,7 @@ class Frame:
         self.samples = np.asarray(self.samples, dtype=np.float64)
 
 
-def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig | None = None,
+def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig = SegmentationConfig(),
                      event_prefix: str = "event") -> list[EventSegment]:
     """Find non-silent segments relative to the loudest detection window.
 
@@ -73,7 +73,6 @@ def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig | None = None,
     range (including all-zero audio) therefore comes back as one full-span
     segment: a relative threshold cannot rank equal-energy windows.
     """
-    cfg = cfg or SegmentationConfig()
     x = clip.samples
     n = len(x)
     if n == 0:
@@ -102,7 +101,8 @@ def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig | None = None,
     return segments
 
 
-def frame_segment(seg: EventSegment, cfg: SegmentationConfig | None = None) -> list[Frame]:
+def frame_segment(seg: EventSegment,
+                  cfg: SegmentationConfig = SegmentationConfig()) -> list[Frame]:
     """Cut one segment into frames of exactly cfg.target_len samples.
 
     Shorter segments get floor(d/2) zeros on the left and the rest on the
@@ -110,7 +110,6 @@ def frame_segment(seg: EventSegment, cfg: SegmentationConfig | None = None) -> l
     the last full frame does not end at the segment end, one extra end-aligned
     frame covers the tail without zero padding.
     """
-    cfg = cfg or SegmentationConfig()
     x = seg.samples
     n = len(x)
     if n == 0:

@@ -146,11 +146,19 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+# (n, src_hz, dst_hz); 3 samples at 2000 -> 1000 Hz and 1 at 44100 -> 22050 Hz
+# are exactly half-way (1.5 and 0.5) and round up to 2 and 1
+RESAMPLE_LENGTHS = [(22050, 22050, 16000), (100, 22050, 16000), (3, 2000, 1000),
+                    (1, 44100, 22050), (5, 44100, 22050), (7, 48000, 22050), (1, 8000, 22050),
+                    (1001, 11025, 22050), (999, 16000, 44100), (2, 3000, 1000),
+                    (10, 3000, 1000)]
+
+
 def test_resample_length_arithmetic():
-    clip = AudioClip(np.zeros(22050), 22050)
-    assert len(resample(clip, 16000).samples) == 16000
-    clip = AudioClip(np.zeros(100), 22050)
-    assert len(resample(clip, 16000).samples) == round(100 * 16000 / 22050)
+    """round(n * dst / src), half up, which resample_poly's ceil never falls short of."""
+    for n, src_hz, dst_hz in RESAMPLE_LENGTHS:
+        out = resample(AudioClip(np.zeros(n), src_hz), dst_hz).samples
+        assert len(out) == (2 * n * dst_hz + src_hz) // (2 * src_hz), (n, src_hz, dst_hz)
 
 
 def test_resample_preserves_tone_frequency():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -33,6 +34,15 @@ SR = 22050
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_in_process(*argv, **kwargs):
+    """The CLI run as ``python -m barkspace.cli`` on this package, under a timeout."""
+    src = str(Path(barkspace.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "barkspace.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -374,11 +384,13 @@ def test_project_json_format(checkpoints, corpus_dir, tmp_path):
     assert len(load_points(out, fmt="json")) == 12
 
 
-def test_project_swapped_models_is_data_error(checkpoints, corpus_dir, tmp_path):
+def test_project_swapped_models_is_data_error(checkpoints, corpus_dir, tmp_path, capsys):
+    out = tmp_path / "x.csv"
     assert run("project", "--arousal-model", str(checkpoints["valence"]),
                "--valence-model", str(checkpoints["arousal"]),
-               "--in", str(corpus_dir / "manifest.csv"),
-               "--out", str(tmp_path / "x.csv")) == 2
+               "--in", str(corpus_dir / "manifest.csv"), "--out", str(out)) == 2
+    assert "arousal checkpoint is tagged 'valence'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_project_mismatched_feature_configs_is_data_error(checkpoints, corpus_dir,
@@ -536,6 +548,36 @@ def test_featurize_binary_and_csv(corpus_dir, tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0].startswith("frame,band,t0,")
     assert len(lines) == 1 + meta["n_frames"] * 64
+
+
+def _cap_address_space():
+    """Cap the child's address space at 3 GiB, so a front end that did try to
+    build a multi-GiB array fails there instead of straining the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"segmentation": {"target_len": 10**9}}, id="target-len-1e9"),
+    pytest.param({"features": {"n_mels": 5 * 10**6}}, id="n-mels-5e6"),
+])
+@pytest.mark.parametrize("command", ["featurize", "train"])
+def test_oversized_front_end_config_is_data_error_and_writes_nothing(corpus_dir, tmp_path,
+                                                                     config, command):
+    """Sizes from --config whose arrays are too large for one frame exit 2 before
+    any audio is read, not 3 on a failed multi-GiB allocation."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.bin"
+    if command == "featurize":
+        argv = ["featurize", "--in", str(next(corpus_dir.glob("*.wav")))]
+    else:
+        argv = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+                "--model", "baseline"]
+    done = run_in_process(*argv, "--config", str(cfg), "--out", str(out),
+                          preexec_fn=_cap_address_space)
+    assert done.returncode == 2, done.stderr
+    assert "front end's bound" in done.stderr
+    assert not out.exists()
 
 
 def test_config_file_overrides(corpus_dir, tmp_path):
@@ -709,14 +751,10 @@ def test_fifo_input_is_data_error(checkpoints, tmp_path):
     fifo = tmp_path / "x.wav"
     os.mkfifo(fifo)
     manifest = _manifest(tmp_path / "manifest.csv", [["x.wav", "ev0", "high", "low", "test"]])
-    src = str(Path(barkspace.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     for argv in (["segment", "--in", str(fifo), "--out", str(tmp_path / "events")],
                  ["eval", "--model", str(checkpoints["arousal"]), "--manifest", str(manifest),
                   "--report", str(tmp_path / "r.json")]):
-        done = subprocess.run([sys.executable, "-m", "barkspace.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_in_process(*argv)
         assert done.returncode == 2, done.stderr
         assert f"{fifo}: not a regular file" in done.stderr
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "events").exists()

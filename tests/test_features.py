@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from barkspace.features import (FeatureConfig, _hann_memo, hz_to_mel, log_mel,
-                                mel_center_frequencies, mel_filterbank,
-                                stft_power)
+from barkspace.features import (FeatureConfig, _hann_memo, grid_shape, hz_to_mel, log_mel,
+                                mel_center_frequencies, mel_filterbank, stft_power)
 from barkspace.segmentation import Frame
 
 SR = 22050
@@ -172,3 +171,26 @@ def test_hann_window_memoized_read_only_and_periodic():
 def test_stft_rejects_multichannel_frame():
     with pytest.raises(ValueError, match="one-dimensional"):
         stft_power(np.zeros((2, 5120)), CFG)
+
+
+@pytest.mark.parametrize("cfg, target_len", [(CFG, 5120), (CFG, 512), (CFG, 7777),
+                                             (FeatureConfig(n_fft=256, hop=64, n_mels=16), 768),
+                                             (FeatureConfig(hop=500, n_mels=40), 5120),
+                                             (FeatureConfig(n_fft=1024, hop=1024), 2**20)])
+def test_grid_shape_is_the_shape_log_mel_makes(cfg, target_len):
+    """The last case's STFT matrix holds exactly the bound, 1024 x 1024."""
+    x = np.random.default_rng(target_len).standard_normal(target_len)
+    assert grid_shape(cfg, target_len) == log_mel(x, cfg, SR).shape
+
+
+@pytest.mark.parametrize("cfg, target_len, match", [
+    (CFG, 511, "shorter than n_fft"),
+    (CFG, 2**20 + 1, "frame of 1048577 elements"),
+    (CFG, 2**20, "STFT matrix of 4192768"),
+    (FeatureConfig(n_mels=2**20 // 257 + 1), 5120, "mel filterbank of 1048817"),
+    (FeatureConfig(n_fft=16, hop=1, n_mels=2**17), 16, "mel filterbank"),
+    (FeatureConfig(n_fft=16, hop=1, n_mels=2**14), 128, "grid of 1851392"),
+])
+def test_grid_shape_refuses_short_frames_and_oversized_arrays(cfg, target_len, match):
+    with pytest.raises(ValueError, match=match):
+        grid_shape(cfg, target_len)

@@ -346,14 +346,6 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_dimension_tag(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(toy_checkpoint(dimension="valence"), path)
-    assert load_checkpoint(path, dimension="valence").dimension == "valence"
-    with pytest.raises(CheckpointError, match="dimension"):
-        load_checkpoint(path, dimension="arousal")
-
-
 def _saved_meta(tmp_path, ckpt):
     path = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, path)
