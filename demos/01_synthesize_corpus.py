@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from barkspace import SynthConfig, read_wav, synth_corpus
+from barkspace.labels import VOCABULARY
 
 out_dir = Path(tempfile.mkdtemp(prefix="barkspace_corpus_"))
 entries = synth_corpus(SynthConfig(seed=42, n_events=18), out_dir)
@@ -21,8 +22,8 @@ print(f"wrote {len(entries)} events to {out_dir}\n")
 print(f"{'event':<12} {'arousal':<8} {'valence':<9} {'dur (s)':>8} {'peak':>6}")
 for e in entries:
     clip = read_wav(out_dir / e.path)
-    print(f"{e.event_id:<12} {e.arousal.name.lower():<8} "
-          f"{ {'LOW': 'negative', 'MEDIUM': 'neutral', 'HIGH': 'positive'}[e.valence.name]:<9} "
+    print(f"{e.event_id:<12} {VOCABULARY['arousal'][e.arousal]:<8} "
+          f"{VOCABULARY['valence'][e.valence]:<9} "
           f"{clip.duration_s:>8.2f} {np.abs(clip.samples).max():>6.2f}")
 
 print("\nHigh-arousal events have dense pulse trains (loud, fast); "

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from barkspace import SynthConfig, TrainConfig, export_points, project_event, synth_corpus
 from barkspace import pipeline
+from barkspace.labels import VOCABULARY
 
 out = Path(tempfile.mkdtemp(prefix="barkspace_project_"))
 entries = synth_corpus(SynthConfig(seed=11, n_events=54, duration_range=(0.2, 0.8)), out)
@@ -31,10 +32,9 @@ csv_path = out / "points.csv"
 export_points(points, csv_path)
 print(f"projected {len(points)} events -> {csv_path}\n")
 
-VAL_NAME = {"LOW": "negative", "MEDIUM": "neutral", "HIGH": "positive"}
 by_label = {}
 for e, p in zip(entries, points):
-    key = (e.arousal.name.lower(), VAL_NAME[e.valence.name])
+    key = (VOCABULARY["arousal"][e.arousal], VOCABULARY["valence"][e.valence])
     by_label.setdefault(key, []).append(p.quadrant)
 print(f"{'true labels (arousal, valence)':<34} {'quadrants assigned'}")
 for (a, v), quads in sorted(by_label.items()):

@@ -100,19 +100,29 @@ def cmd_segment(args) -> int:
     else:
         raise FileNotFoundError(f"no such file or directory: {in_path}")
 
-    # --out is made just before a file is written into it, so a bad input leaves none
+    # all or nothing: --out is made just before a file is written into it, and
+    # a bad input removes the event WAVs written so far and the --out made here
     out_dir = Path(args.out)
-    index = []
-    for wav in wavs:
-        for seg in _recording_events(wav, seg_cfg):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_wav(out_dir / f"{seg.event_id}.wav", AudioClip(seg.samples, CANONICAL_RATE_HZ))
-            index.append({
-                "event_id": seg.event_id,
-                "start_sample": seg.start_sample,
-                "end_sample": seg.end_sample,
-                "source_path": str(wav),
-            })
+    made_out = not out_dir.exists()
+    index, written = [], []
+    try:
+        for wav in wavs:
+            for seg in _recording_events(wav, seg_cfg):
+                out_dir.mkdir(parents=True, exist_ok=True)
+                written.append(out_dir / f"{seg.event_id}.wav")
+                write_wav(written[-1], AudioClip(seg.samples, CANONICAL_RATE_HZ))
+                index.append({
+                    "event_id": seg.event_id,
+                    "start_sample": seg.start_sample,
+                    "end_sample": seg.end_sample,
+                    "source_path": str(wav),
+                })
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        if made_out and out_dir.exists():
+            out_dir.rmdir()
+        raise
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "index.json").write_text(json.dumps(index, indent=2))
     if args.verbose:

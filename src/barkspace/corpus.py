@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .audio_io import CANONICAL_RATE_HZ, AudioClip, write_wav
-from .labels import OrdinalLabel, parse_label
+from .labels import VOCABULARY, OrdinalLabel, parse_label
 
 MANIFEST_COLUMNS = ("path", "event_id", "arousal", "valence")
 
@@ -69,6 +69,8 @@ class SynthConfig:
     duration_range: tuple[float, float] = (0.2, 1.5)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_events < 6:
             raise ValueError("n_events must be >= 6 so all label levels appear")
         lo, hi = self.duration_range
@@ -133,9 +135,8 @@ def save_manifest(entries: Sequence[ManifestEntry], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS + (("split",) if has_split else ()))
         for e in entries:
-            arous = e.arousal.name.lower()
-            val = {"LOW": "negative", "MEDIUM": "neutral", "HIGH": "positive"}[e.valence.name]
-            row = [e.path, e.event_id, arous, val]
+            row = [e.path, e.event_id, VOCABULARY["arousal"][e.arousal],
+                   VOCABULARY["valence"][e.valence]]
             if has_split:
                 row.append(e.split or "")
             writer.writerow(row)

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import OrdinalLabel
+from .labels import VOCABULARY, OrdinalLabel
 
-_LABEL_KEYS = ("low", "medium", "high")
+_LABEL_KEYS = VOCABULARY["arousal"]  # a report's class keys, for either dimension
 HISTOGRAM_BINS = 50
 
 

@@ -27,14 +27,15 @@ class OrdinalLabel(enum.IntEnum):
         return float(self) - 1.0
 
 
-_LABEL_TOKENS = {
-    "low": OrdinalLabel.LOW,
-    "medium": OrdinalLabel.MEDIUM,
-    "high": OrdinalLabel.HIGH,
-    "negative": OrdinalLabel.NEGATIVE,
-    "neutral": OrdinalLabel.NEUTRAL,
-    "positive": OrdinalLabel.POSITIVE,
+# each dimension's label tokens, in label order: Low/Negative first
+VOCABULARY = {
+    "arousal": ("low", "medium", "high"),
+    "valence": ("negative", "neutral", "positive"),
 }
+DIMENSIONS = tuple(VOCABULARY)
+
+_LABEL_TOKENS = {token: OrdinalLabel(i)
+                 for tokens in VOCABULARY.values() for i, token in enumerate(tokens)}
 
 _VALUE_TO_LABEL = {-1.0: OrdinalLabel.LOW, 0.0: OrdinalLabel.MEDIUM, 1.0: OrdinalLabel.HIGH}
 
@@ -53,5 +54,3 @@ def label_from_value(value: float) -> OrdinalLabel:
         raise ValueError(f"no ordinal label with numeric value {value!r}")
     return _VALUE_TO_LABEL[value]
 
-
-DIMENSIONS = ("arousal", "valence")

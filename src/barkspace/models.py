@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and learning_rate must be positive and finite")
         if self.pairs_per_epoch is not None and not (self.pairs_per_epoch > 0):
             raise ValueError("pairs_per_epoch must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

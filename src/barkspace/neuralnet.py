@@ -53,7 +53,6 @@ tape holds only whole-batch arrays that the call made, so any number of
 tapes stay valid side by side.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -168,95 +167,6 @@ def default_net_spec(input_shape: tuple[int, int, int] = (1, 64, 37)) -> NetSpec
     )
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """One splitmix64 step, used only to spread the user seed into a state."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _xorshift(x: int) -> int:
-    """The state step of ``XorShift64Star.next_u64``; linear over GF(2)."""
-    x ^= (x >> 12)
-    x = (x ^ (x << 25)) & _MASK64
-    return x ^ (x >> 27)
-
-
-def _gf2_tables(images: np.ndarray) -> np.ndarray:
-    """Byte lookup tables of the GF(2)-linear map of uint64 words that sends
-    bit k to ``images[k]``: table[b][v] is the image of byte value v at byte b."""
-    tables = np.zeros((8, 256), dtype=np.uint64)
-    by_byte = images.reshape(8, 8)
-    for k in range(8):
-        tables[:, 1 << k : 2 << k] = tables[:, : 1 << k] ^ by_byte[:, k : k + 1]
-    return tables
-
-
-def _gf2_apply(tables: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The linear map of ``tables`` applied to each word of ``v``."""
-    out = tables[0][v & 0xFF]
-    for b in range(1, 8):
-        out ^= tables[b][(v >> (8 * b)) & 0xFF]
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _jump_tables(level: int) -> np.ndarray:
-    """Read-only lookup tables of 2**level state steps."""
-    if level == 0:
-        images = np.array([_xorshift(1 << k) for k in range(64)], dtype=np.uint64)
-    else:
-        half = _jump_tables(level - 1)
-        images = _gf2_apply(half, _gf2_apply(half, 1 << np.arange(64, dtype=np.uint64)))
-    tables = _gf2_tables(images)
-    tables.flags.writeable = False
-    return tables
-
-
-class XorShift64Star:
-    """xorshift64* generator (shifts 12/25/27, multiplier 0x2545F4914F6CDD1D).
-
-    The seed is passed through splitmix64 so that 0 and other weak seeds
-    still yield a nonzero state. Doubles take the top 53 bits of the output.
-    ``next_u64`` is the scalar reference; ``uniform`` makes the same stream
-    in numpy, jumping ahead with powers of the step's GF(2) matrix.
-    """
-
-    MULT = 0x2545F4914F6CDD1D
-
-    def __init__(self, seed: int):
-        state = _splitmix64(int(seed) & _MASK64)
-        self._state = state if state != 0 else 0x9E3779B97F4A7C15
-
-    def next_u64(self) -> int:
-        self._state = _xorshift(self._state)
-        return (self._state * self.MULT) & _MASK64
-
-    def _next_states(self, n: int) -> np.ndarray:
-        """The states that n ``next_u64`` calls would step through, in order."""
-        states = np.empty(n, dtype=np.uint64)
-        if n == 0:
-            return states
-        states[0] = _xorshift(self._state)
-        # with states[:m] filled, the jump of m steps gives states[m : 2m]
-        m, level = 1, 0
-        while m < n:
-            k = min(m, n - m)
-            states[m : m + k] = _gf2_apply(_jump_tables(level), states[:k])
-            m, level = m + k, level + 1
-        self._state = int(states[-1])
-        return states
-
-    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        out = self._next_states(n) * np.uint64(self.MULT)  # wraps mod 2**64
-        u = (out >> np.uint64(11)) * 2.0**-53
-        return low + (high - low) * u
-
-
 @dataclass
 class Params:
     """Per-layer weight/bias arrays aligned with a NetSpec's layer tuple.
@@ -296,12 +206,13 @@ def param_shapes(spec: NetSpec) -> dict:
 def init_params(spec: NetSpec, seed: int, dtype=np.float64) -> Params:
     """Uniform weights in [-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases.
 
-    Draws come from XorShift64Star in layer order, weights before bias,
-    row-major within each tensor, so the result is a pure function of
-    (spec, seed).
+    Weights are drawn in layer order, in float64, from one numpy Generator,
+    ``default_rng((seed, 0x1A17))``, whose tag keeps this stream apart from
+    the seed's other draws; then cast to ``dtype``. So the result is a pure
+    function of (spec, seed), and float32 params are float64 params rounded.
     """
     shapes = param_shapes(spec)
-    rng = XorShift64Star(seed)
+    rng = np.random.default_rng((int(seed), 0x1A17))
     layers = []
     for i in range(len(spec.layers)):
         w_shape = shapes.get(f"layer{i}.weight")
@@ -309,7 +220,7 @@ def init_params(spec: NetSpec, seed: int, dtype=np.float64) -> Params:
             layers.append(None)
             continue
         bound = 1.0 / np.sqrt(math.prod(w_shape[1:]))  # a weight row spans the fan-in
-        w = rng.uniform(math.prod(w_shape), -bound, bound).reshape(w_shape)
+        w = rng.uniform(-bound, bound, size=w_shape)
         layers.append({"w": w.astype(dtype), "b": np.zeros(shapes[f"layer{i}.bias"], dtype=dtype)})
     return Params(layers=layers, seed=int(seed))
 

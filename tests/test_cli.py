@@ -106,6 +106,29 @@ def test_split_refuses_bad_ratio(corpus_dir, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+def test_synth_negative_seed_is_data_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert run("synth", "--seed", "-1", "--n-events", "6", "--out", str(out)) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_negative_seed_is_refused_before_the_manifest_is_read(tmp_path, capsys):
+    """The flag and the config file share one check, which runs before the
+    missing WAV of the only row is looked for."""
+    manifest = _manifest(tmp_path / "manifest.csv",
+                         [["missing.wav", "ev0", "high", "low", "train"]])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"seed": -1}}))
+    ckpt = tmp_path / "x.ckpt"
+    for seed_args in (("--seed", "-1"), ("--config", str(cfg))):
+        assert run("train", "--manifest", str(manifest), "--dim", "arousal",
+                   "--model", "baseline", "--out", str(ckpt), *seed_args) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative, got -1" in err and "missing.wav" not in err
+        assert not ckpt.exists()
+
+
 def test_train_deterministic_checkpoints(split_manifest, tmp_path):
     args = ("train", "--manifest", str(split_manifest), "--dim", "arousal",
             "--model", "baseline", "--epochs", "2", "--batch", "16",
@@ -497,14 +520,27 @@ def test_segment_missing_input_is_data_error(tmp_path):
 
 
 def test_segment_truncated_wav_is_data_error_and_writes_nothing(tmp_path, capsys):
-    """The first 30 bytes of a WAV: exit 2 with no ``--out`` directory left behind."""
-    wav = tmp_path / "trunc.wav"
+    """The first 30 bytes of a WAV, alone or after a good recording in a
+    directory: exit 2 with no event WAV and no ``--out`` directory left behind.
+    A file already in an existing ``--out`` survives."""
+    recs = tmp_path / "recs"
+    recs.mkdir()
+    burst = 0.6 * np.sin(2 * np.pi * 800.0 * np.arange(3000) / SR)
+    write_wav(recs / "a.wav", AudioClip(np.concatenate([np.zeros(6000), burst, np.zeros(6000)]),
+                                        SR))
+    wav = recs / "b.wav"
     write_wav(wav, AudioClip(0.5 * np.ones(4000), SR))
     wav.write_bytes(wav.read_bytes()[:30])
-    out = tmp_path / "events"
-    assert run("segment", "--in", str(wav), "--out", str(out)) == 2
-    assert not out.exists()
-    assert "internal error" not in capsys.readouterr().err
+    for src in (wav, recs):
+        out = tmp_path / "events"
+        assert run("segment", "--in", str(src), "--out", str(out)) == 2
+        assert not out.exists()
+        assert "internal error" not in capsys.readouterr().err
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert run("segment", "--in", str(recs), "--out", str(out)) == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 @pytest.mark.parametrize("rate", [999, 4_294_967_291])

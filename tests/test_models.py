@@ -94,6 +94,18 @@ def test_make_pairs_stratification_within_one():
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
+def test_make_pairs_fewer_pairs_than_cells():
+    """Some cells get no pair at all: at most one per cell, never an index with itself."""
+    labels = [H, H, H, M, M, L, L, L, L]
+    for total in (1, 4, 8):
+        for seed in range(5):
+            pairs = make_pairs(labels, total, seed=seed, epoch=0)
+            counts = Counter((labels[ia], labels[ib]) for ia, ib, _ in pairs)
+            assert len(pairs) == total
+            assert max(counts.values()) == 1
+            assert all(ia != ib for ia, ib, _ in pairs)
+
+
 def test_make_pairs_deterministic_per_seed_epoch():
     labels = [H, M, L, H, M, L]
     a = make_pairs(labels, 40, seed=7, epoch=1)

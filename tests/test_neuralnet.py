@@ -35,6 +35,24 @@ def test_init_zero_biases_and_fan_in_bound():
     assert np.abs(p.layers[3]["w"]).max() <= 1 / np.sqrt(24)
 
 
+def test_init_float32_is_the_float64_draw_rounded():
+    spec = nn.default_net_spec()
+    wide = nn.init_params(spec, 17)
+    narrow = nn.init_params(spec, 17, dtype=np.float32)
+    for (n1, t1), (n2, t2) in zip(wide.tensors(), narrow.tensors()):
+        assert n1 == n2 and t2.dtype == np.float32
+        assert np.array_equal(t1.astype(np.float32), t2)
+
+
+def test_init_dense_weight_fills_its_range():
+    spec = nn.default_net_spec()
+    w = nn.init_params(spec, 17).layers[7]["w"]
+    assert w.shape == (64, 1568)
+    bound = 1 / np.sqrt(1568)
+    assert w.min() < -0.99 * bound and w.max() > 0.99 * bound
+    assert abs(w.mean()) < 0.01 * bound
+
+
 def test_init_rejects_inconsistent_spec():
     bad = nn.NetSpec((1, 2, 2), (nn.Conv2d(1, 3, 3),))
     with pytest.raises(ValueError):
@@ -510,18 +528,3 @@ def test_training_step_memory_is_at_most_half_the_unchunked_step():
             tracemalloc.stop()
 
     assert peak(chunked) <= peak(whole) / 2
-
-
-def scalar_uniform(rng, n):
-    """The stream drawn one next_u64 call at a time."""
-    return np.array([(rng.next_u64() >> 11) * 2.0**-53 for _ in range(n)], dtype=np.float64)
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(-(2**63), 2**64 - 1))
-def test_uniform_is_the_next_u64_stream(seed):
-    fast, slow = nn.XorShift64Star(seed), nn.XorShift64Star(seed)
-    for n in (0, 1, 2, 63, 64, 1000, 100352, 5):
-        assert np.array_equal(fast.uniform(n, -0.25, 0.75), -0.25 + 1.0 * scalar_uniform(slow, n))
-        assert fast._state == slow._state  # the next call continues the stream
-    assert fast.next_u64() == slow.next_u64()
