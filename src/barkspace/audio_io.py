@@ -24,6 +24,13 @@ PCM16_SCALE = 32768.0
 MIN_RATE_HZ = 1_000
 MAX_RATE_HZ = 384_000
 
+KAISER_BETA = 5.0
+# resampling block sizes: output columns per tap band, rows per GEMM and
+# filter taps made per step (see ``resample``)
+BAND_COLS = 64
+ROW_BLOCK = 256
+TAP_CHUNK = 1 << 16
+
 
 class WavFormatError(ValueError):
     """Malformed or truncated RIFF/WAVE container."""
@@ -142,11 +149,43 @@ def write_wav(path, clip: AudioClip) -> None:
         w.writeframes(q.tobytes())
 
 
+def _lowpass_taps(up: int, down: int) -> np.ndarray:
+    """The anti-aliasing filter of an up/down rate change: 2·half + 1 taps, half = 10·max.
+
+    A sinc with cutoff 1/max(up, down) of the Nyquist rate under a Kaiser
+    window (beta 5), normalised to sum to ``up``; it is scipy's
+    ``firwin(2*half + 1, 1/max, window=('kaiser', 5.0)) * up``, the filter of
+    ``resample_poly``, up to the rounding of ``np.i0``. The taps are made
+    TAP_CHUNK at a time, so a long filter has no filter-sized temporaries.
+    """
+    half = 10 * max(up, down)
+    fc = 1.0 / max(up, down)
+    h = np.empty(2 * half + 1)
+    i0_beta = np.i0(KAISER_BETA)
+    for a in range(0, len(h), TAP_CHUNK):
+        m = np.arange(a, min(a + TAP_CHUNK, len(h))) - float(half)
+        window = np.i0(KAISER_BETA * np.sqrt(1 - (m / half) ** 2.0)) / i0_beta
+        h[a : a + len(m)] = fc * np.sinc(fc * m) * window
+    h /= h.sum()
+    h *= up
+    return h
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample with a Kaiser-windowed polyphase sinc filter.
 
     Output length is round(len * target_hz / source_hz), rounding half up.
     Resampling to the source rate returns an identical copy.
+
+    With up/down the reduced rate ratio and h the ``_lowpass_taps``, output
+    k is ``sum_j x[j] * h[half + k*down - j*up]`` (zeros outside x), clipped
+    to [-1, 1]: ``resample_poly``'s output within rounding. It runs as GEMMs
+    (Crochiere & Rabiner, *Multirate Digital Signal Processing*, 1983): the
+    outputs are cut into rows of ``G*up``, G = max(1, BAND_COLS // up), so
+    row r reads the input from ``r*G*down`` on and every row shares one
+    banded tap matrix. A row's columns are split into bands of at most
+    BAND_COLS outputs, each with its own narrow input window, and the rows
+    are taken ROW_BLOCK at a time, so each block's window copy stays in cache.
     """
     target_hz = int(target_hz)
     if target_hz <= 0:
@@ -157,15 +196,34 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     src_hz = clip.sample_rate_hz
     n_in = len(clip.samples)
     n_out = (2 * n_in * target_hz + src_hz) // (2 * src_hz)
-    if n_in == 0:
+    if n_out == 0:
         return AudioClip(np.zeros(0), target_hz)
 
-    # imported here, not at the top: scipy.signal costs about 70 MB of RSS and
-    # over a second to import, and 22 050 Hz input never resamples
-    from scipy.signal import resample_poly
-
     g = math.gcd(target_hz, src_hz)
-    # resample_poly gives ceil(n_in * target / src) samples, never fewer than n_out
-    out = resample_poly(clip.samples, target_hz // g, src_hz // g)
-    out = np.clip(out[:n_out], -1.0, 1.0)
+    up, down = target_hz // g, src_hz // g
+    h = _lowpass_taps(up, down)
+    half = len(h) // 2
+    groups = max(1, BAND_COLS // up)
+    row_len, row_step = groups * up, groups * down
+    n_rows = -(-n_out // row_len)
+    # x with zeros either side, so that every row's window lies inside it
+    lead = half // up
+    end = (n_rows - 1) * row_step + ((row_len - 1) * down + half) // up + 1
+    padded = np.zeros(lead + max(end, n_in))
+    padded[lead : lead + n_in] = clip.samples
+    out = np.empty((n_rows, row_len))
+    for q0 in range(0, row_len, BAND_COLS):
+        q = np.arange(q0, min(q0 + BAND_COLS, row_len))
+        # inputs ceil((q0*down - half) / up) to floor((q[-1]*down + half) / up)
+        first = -((half - q0 * down) // up)
+        j = np.arange(first, (q[-1] * down + half) // up + 1)
+        d = half + q * down - j[:, None] * up
+        taps = np.where((d >= 0) & (d <= 2 * half), h[np.clip(d, 0, 2 * half)], 0.0)
+        start = lead + first
+        windows = np.lib.stride_tricks.sliding_window_view(padded, len(j))[start::row_step]
+        for r0 in range(0, n_rows, ROW_BLOCK):
+            block = np.ascontiguousarray(windows[r0 : r0 + ROW_BLOCK])
+            out[r0 : r0 + ROW_BLOCK, q0 : q0 + len(q)] = block @ taps
+    out = out.reshape(-1)[:n_out]
+    np.clip(out, -1.0, 1.0, out=out)
     return AudioClip(out, target_hz)

@@ -171,6 +171,8 @@ def cmd_split(args) -> int:
         print(f"barkspace split: error: --ratio must be in (0, 1), got {args.ratio}",
               file=sys.stderr)
         return USAGE_ERROR
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     entries = load_manifest(args.manifest)
     train_ids, _ = event_level_split([e.event_id for e in entries], args.ratio, args.seed)
     train_set = set(train_ids)

@@ -1,7 +1,10 @@
+import json
+import math
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
+from scipy.signal import resample_poly
 
 import barkspace
-from barkspace.audio_io import (MAX_RATE_HZ, MIN_RATE_HZ, AudioClip, UnsupportedWavError,
-                                WavFormatError, read_wav, resample, write_wav)
+from barkspace import neuralnet as nn
+from barkspace.audio_io import (CANONICAL_RATE_HZ, MAX_RATE_HZ, MIN_RATE_HZ, AudioClip,
+                                UnsupportedWavError, WavFormatError, read_wav, resample,
+                                write_wav)
+from barkspace.evaluation import Boundaries
+from barkspace.features import FeatureConfig
+from barkspace.models import Checkpoint, save_checkpoint
+from barkspace.projection import load_points
+from barkspace.segmentation import SegmentationConfig
 
 
 def wav_bytes(ints, sample_rate, channels=1, fmt_tag=1, bits=16):
@@ -122,28 +133,45 @@ def test_resample_identity_is_bitwise():
     assert np.array_equal(out.samples, clip.samples)
 
 
-# run in a fresh interpreter, since this one has imported scipy.signal already
-_SCIPY_SIGNAL_CHECK = """
+# run in a fresh interpreter, since this one has imported scipy already
+_NO_SCIPY_CHECK = """
 import sys
-import numpy as np
-import barkspace.cli
-from barkspace.audio_io import AudioClip, resample
-assert 'scipy.signal' not in sys.modules, 'imported by barkspace.cli'
-resample(AudioClip(np.zeros(8), 22050), 22050)
-assert 'scipy.signal' not in sys.modules, 'imported by a same-rate resample'
-resample(AudioClip(np.zeros(8), 44100), 22050)
-assert 'scipy.signal' in sys.modules
+from barkspace.cli import main
+wav, events, arousal, valence, points = sys.argv[1:]
+assert main(["segment", "--in", wav, "--out", events]) == 0
+assert main(["project", "--arousal-model", arousal, "--valence-model", valence,
+             "--in", wav, "--out", points]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
-    """scipy.signal is imported by the first resample that changes the rate."""
+def test_segment_and_project_at_44100_hz_load_no_scipy(tmp_path):
+    """Both commands resample a 44.1 kHz stereo recording with numpy alone."""
+    sr = 44100
+    t = np.arange(2 * sr) / sr
+    burst = (t > 0.5) & (t < 1.2)
+    left = np.where(burst, 0.5 * np.sin(2 * np.pi * 440.0 * t), 0.0)
+    right = np.where(burst, 0.3 * np.sin(2 * np.pi * 660.0 * t), 0.0)
+    ints = np.rint(np.column_stack([left, right]) * 32767).astype(int).reshape(-1)
+    wav = write(tmp_path, "field.wav", wav_bytes(ints.tolist(), sr, channels=2))
+    spec = nn.default_net_spec()
+    ckpts = []
+    for seed, dim in enumerate(("arousal", "valence")):
+        ckpts.append(tmp_path / f"{dim}.ckpt")
+        save_checkpoint(Checkpoint(dim, seed, spec, nn.init_params(spec, seed, dtype=np.float32),
+                                   FeatureConfig(), SegmentationConfig(), CANONICAL_RATE_HZ,
+                                   boundaries=Boundaries(-0.5, 0.5)), ckpts[-1])
     src = str(Path(barkspace.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", _SCIPY_SIGNAL_CHECK], env=env,
-                          capture_output=True, text=True, timeout=120)
+    points = tmp_path / "points.csv"
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHECK, str(wav),
+                           str(tmp_path / "events"), *map(str, ckpts), str(points)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert len(json.loads((tmp_path / "events" / "index.json").read_text())) == 1
+    assert len(load_points(points)) == 1
 
 
 # (n, src_hz, dst_hz); 3 samples at 2000 -> 1000 Hz and 1 at 44100 -> 22050 Hz
@@ -155,10 +183,53 @@ RESAMPLE_LENGTHS = [(22050, 22050, 16000), (100, 22050, 16000), (3, 2000, 1000),
 
 
 def test_resample_length_arithmetic():
-    """round(n * dst / src), half up, which resample_poly's ceil never falls short of."""
+    """round(n * dst / src), rounding half up."""
     for n, src_hz, dst_hz in RESAMPLE_LENGTHS:
         out = resample(AudioClip(np.zeros(n), src_hz), dst_hz).samples
         assert len(out) == (2 * n * dst_hz + src_hz) // (2 * src_hz), (n, src_hz, dst_hz)
+
+
+# (src_hz, dst_hz): upsampling, common recorder rates, both ends of the
+# accepted range, rates that share few factors with 22 050 Hz (1001, 44101 and
+# 383999 Hz give up = 3150, 22050 and 3150 with filters of 63 001, 882 021 and
+# 1 097 141 taps), and two integer downsamplings
+ORACLE_RATES = [(44100, 22050), (22050, 44100), (48000, 22050), (16000, 22050),
+                (8000, 22050), (11025, 22050), (96000, 22050), (384000, 22050),
+                (1000, 22050), (1001, 22050), (44101, 22050), (383999, 22050),
+                (2000, 1000), (3000, 1000)]
+# 70 001 samples fill more than one ROW_BLOCK of rows at 44.1 -> 22.05 kHz
+ORACLE_LENGTHS = (1, 2, 3, 1001, 70001)
+
+
+@pytest.mark.parametrize("src_hz, dst_hz", ORACLE_RATES)
+def test_resample_matches_scipy_resample_poly(src_hz, dst_hz):
+    """scipy's resample_poly, cut to round-half-up length and clipped, within 1e-12."""
+    rng = np.random.default_rng(src_hz + dst_hz)
+    g = math.gcd(src_hz, dst_hz)
+    for n in ORACLE_LENGTHS:
+        x = rng.uniform(-1.0, 1.0, size=n)
+        n_out = (2 * n * dst_hz + src_hz) // (2 * src_hz)
+        want = np.clip(resample_poly(x, dst_hz // g, src_hz // g)[:n_out], -1.0, 1.0)
+        got = resample(AudioClip(x, src_hz), dst_hz).samples
+        assert len(got) == n_out, n
+        assert np.all(np.abs(got) <= 1.0), n
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, n
+
+
+def test_resample_long_filter_peak_memory_is_below_scipy():
+    """1 s at 383 999 Hz designs a 1.1 M-tap filter; numpy's resampler holds
+    it without scipy's filter-sized temporaries."""
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=383999)
+    peaks = []
+    for call in (lambda: resample(AudioClip(x, 383999), 22050),
+                 lambda: resample_poly(x, 3150, 54857)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
 
 
 def test_resample_preserves_tone_frequency():

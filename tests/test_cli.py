@@ -106,6 +106,14 @@ def test_split_refuses_bad_ratio(corpus_dir, capsys):
     assert "ratio" in capsys.readouterr().err
 
 
+def test_split_negative_seed_names_the_flag_and_writes_nothing(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "split.csv"
+    assert run("split", "--manifest", str(corpus_dir / "manifest.csv"),
+               "--ratio", "0.75", "--seed", "-1", "--out", str(out)) == 2
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_negative_seed_is_data_error_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "neg"
     assert run("synth", "--seed", "-1", "--n-events", "6", "--out", str(out)) == 2
