@@ -35,7 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+_CONFIG_SECTIONS = ("features", "segmentation", "train")
+
+
 def _load_config(path):
+    """The JSON object at ``path``; every top-level key must name a section,
+    so a misspelt one is refused rather than silently left unread."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -45,6 +50,10 @@ def _load_config(path):
             raise ValueError(f"{path}: config is nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    for name in cfg:
+        if name not in _CONFIG_SECTIONS:
+            raise ValueError(f"{path}: section {name!r} is not one of "
+                             + ", ".join(_CONFIG_SECTIONS))
     return cfg
 
 
@@ -64,11 +73,8 @@ def _section(path, config: dict, name: str, cls, overrides: dict):
 
 
 def _seg_config(args, config) -> SegmentationConfig:
-    return _section(args.config, config, "segmentation", SegmentationConfig, {
-        "top_db": getattr(args, "top_db", None),
-        "target_len": getattr(args, "frame_len", None),
-        "stride": getattr(args, "stride", None),
-    })
+    return _section(args.config, config, "segmentation", SegmentationConfig,
+                    {"top_db": getattr(args, "top_db", None)})
 
 
 def _front_end(args, config) -> tuple[SegmentationConfig, FeatureConfig]:
@@ -278,8 +284,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_path", required=True, help="WAV file or directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--top-db", type=float, default=None)
-    p.add_argument("--frame-len", type=int, default=None)
-    p.add_argument("--stride", type=int, default=None)
     p.add_argument("--config", default=None, help=config_help)
     common(p, cmd_segment)
 

@@ -37,8 +37,6 @@ DIMENSIONS = tuple(VOCABULARY)
 _LABEL_TOKENS = {token: OrdinalLabel(i)
                  for tokens in VOCABULARY.values() for i, token in enumerate(tokens)}
 
-_VALUE_TO_LABEL = {-1.0: OrdinalLabel.LOW, 0.0: OrdinalLabel.MEDIUM, 1.0: OrdinalLabel.HIGH}
-
 
 def parse_label(token: str) -> OrdinalLabel:
     """Parse a label token (either vocabulary, case-insensitive)."""
@@ -46,11 +44,4 @@ def parse_label(token: str) -> OrdinalLabel:
     if key not in _LABEL_TOKENS:
         raise ValueError(f"unknown ordinal label token {token!r}")
     return _LABEL_TOKENS[key]
-
-
-def label_from_value(value: float) -> OrdinalLabel:
-    """Inverse of ``OrdinalLabel.numeric``; accepts only the three anchors."""
-    if value not in _VALUE_TO_LABEL:
-        raise ValueError(f"no ordinal label with numeric value {value!r}")
-    return _VALUE_TO_LABEL[value]
 

@@ -38,7 +38,7 @@ from . import neuralnet as nn
 from .audio_io import CANONICAL_RATE_HZ
 from .evaluation import _AS_IS, Boundaries, event_score
 from .features import FeatureConfig, grid_shape
-from .labels import DIMENSIONS, OrdinalLabel, label_from_value
+from .labels import DIMENSIONS, VOCABULARY, OrdinalLabel
 from .segmentation import SegmentationConfig
 
 CHECKPOINT_MAGIC = b"BDN1"
@@ -175,16 +175,16 @@ def _stack_features(features: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([np.asarray(f, dtype=np.float32)[None] for f in features])
 
 
-def _check_training_set(values: Sequence[float]):
-    if len(values) == 0:
+def _check_training_set(labels: Sequence[OrdinalLabel], dimension: str):
+    """Refuse an empty set, or one without all three labels, naming the
+    missing ones in ``dimension``'s vocabulary."""
+    if len(labels) == 0:
         raise ValueError("training set is empty")
-    present = set(float(v) for v in values)
-    missing = {-1.0, 0.0, 1.0} - present
+    present = set(labels)
+    missing = [VOCABULARY[dimension][lab] for lab in OrdinalLabel if lab not in present]
     if missing:
-        raise ValueError(
-            "training set must contain all three label values; missing "
-            + ", ".join(str(v) for v in sorted(missing))
-        )
+        raise ValueError("training set must contain all three labels; missing "
+                         + ", ".join(missing))
 
 
 def _check_loss(loss: float, step: int) -> float:
@@ -243,21 +243,21 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
     return pairs
 
 
-def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, examples,
+def _fit(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig, examples,
          net_spec: Optional[nn.NetSpec], feature_config: FeatureConfig,
          segmentation_config: SegmentationConfig) -> TrainResult:
     """Adam on the MSE between each example's prediction and its target.
 
-    ``examples(labels, epoch)`` gives frame indices ``first`` and ``second``
-    (or None) and float32 targets. The prediction is score(first), or
+    ``train_frames`` holds (feature grid, label) pairs. ``examples(labels,
+    epoch)`` gives frame indices ``first`` and ``second`` (or None) and
+    float32 targets, from the labels alone. The prediction is score(first), or
     score(first) - score(second) with both branches in one stacked batch, so
     their gradients accumulate into the shared weights in a fixed order.
     Examples are reshuffled every epoch by a (seed, epoch)-derived generator;
     the result is a pure function of (data, config, seed).
     """
-    values = [v for _, v in train_frames]
-    _check_training_set(values)
-    labels = [label_from_value(float(v)) for v in values]
+    labels = [lab for _, lab in train_frames]
+    _check_training_set(labels, cfg.dimension)
     x = _stack_features([f for f, _ in train_frames])
     spec = net_spec or nn.default_net_spec(input_shape=x.shape[1:])
     ckpt = _check_checkpoint(Checkpoint(
@@ -289,11 +289,12 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig, exa
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
 
-def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
+def train_baseline(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig,
                    *, net_spec: Optional[nn.NetSpec] = None,
                    feature_config: FeatureConfig = FeatureConfig(),
                    segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
-    """Mean-squared-error regression of the numeric label value of each frame."""
+    """Mean-squared-error regression of the numeric value of each frame's
+    label, from (feature grid, label) pairs."""
     def examples(labels, epoch):
         return (np.arange(len(labels)), None,
                 np.asarray([l.numeric for l in labels], dtype=np.float32))
@@ -301,11 +302,12 @@ def train_baseline(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainC
     return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
-def train_siamese(train_frames: Sequence[tuple[np.ndarray, float]], cfg: TrainConfig,
+def train_siamese(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig,
                   *, net_spec: Optional[nn.NetSpec] = None,
                   feature_config: FeatureConfig = FeatureConfig(),
                   segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
-    """Train the shared head to regress ordered numeric label differences.
+    """Train the shared head to regress ordered numeric label differences,
+    from (feature grid, label) pairs.
 
     Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
     from ``make_pairs``; the loss is the MSE between score(a) - score(b) and

@@ -67,15 +67,6 @@ def load_event_features(entries: Sequence[ManifestEntry], base_dir,
     return out
 
 
-def training_frames(events: Sequence[EventData], dimension: str) -> list[tuple[np.ndarray, float]]:
-    """Flatten events into (feature grid, numeric label value) frame pairs."""
-    pairs = []
-    for ev in events:
-        value = ev.label(dimension).numeric
-        pairs.extend((g, value) for g in ev.features)
-    return pairs
-
-
 def evaluation_events(events: Sequence[EventData], dimension: str):
     """Shape events for evaluation.evaluate: (event_id, label, feature grids)."""
     return [(ev.event_id, ev.label(dimension), ev.features) for ev in events]
@@ -108,13 +99,11 @@ def train_dimension(events: Sequence[EventData], model_kind: str,
     """
     if model_kind not in ("baseline", "siamese"):
         raise ValueError(f"model must be baseline or siamese, got {model_kind!r}")
-    frames = training_frames(events, cfg.dimension)
+    frames = [(g, ev.label(cfg.dimension)) for ev in events for g in ev.features]
     trainer = models.train_baseline if model_kind == "baseline" else models.train_siamese
     result = trainer(frames, cfg, feature_config=feat_cfg, segmentation_config=seg_cfg)
-    grids = [g for g, _ in frames]
-    labels = [ev.label(cfg.dimension) for ev in events for _ in ev.features]
-    preds = models.predict_many(result.checkpoint, grids)
-    result.checkpoint.boundaries = calibrate_boundaries(preds, labels)
+    preds = models.predict_many(result.checkpoint, [g for g, _ in frames])
+    result.checkpoint.boundaries = calibrate_boundaries(preds, [lab for _, lab in frames])
     if preds.min() == preds.max():
         raise ValueError(f"training collapsed: every training frame scores {preds[0]}, "
                          "so no boundaries can tell the classes apart")

@@ -1,14 +1,13 @@
 """The baseline and twin-network trainers as they were before they shared
 one training loop: each with its own Adam set-up, epoch loop, shuffle and
-loss history. Tests use them as the oracle the shared loop must match bit
-for bit.
+loss history. Like the shared loop, each takes (feature grid, label) pairs.
+Tests use them as the oracle the shared loop must match bit for bit.
 """
 
 import numpy as np
 
 from barkspace import neuralnet as nn
 from barkspace.features import FeatureConfig
-from barkspace.labels import label_from_value
 from barkspace.models import (Checkpoint, TrainResult, _check_loss, _check_training_set,
                               _stack_features, make_pairs)
 from barkspace.segmentation import SegmentationConfig
@@ -36,10 +35,10 @@ def _checkpoint(cfg, spec, params, feature_config, segmentation_config, sample_r
 def train_baseline(train_frames, cfg, *, net_spec=None, feature_config=None,
                    segmentation_config=None, sample_rate_hz=22050):
     feats = [f for f, _ in train_frames]
-    values = [v for _, v in train_frames]
-    _check_training_set(values)
+    labels = [lab for _, lab in train_frames]
+    _check_training_set(labels, cfg.dimension)
     x = _stack_features(feats)
-    y = np.asarray(values, dtype=np.float32)
+    y = np.asarray([lab.numeric for lab in labels], dtype=np.float32)
     spec = _net_spec_for(x, net_spec)
 
     params = nn.init_params(spec, cfg.seed, dtype=np.float32)
@@ -69,9 +68,8 @@ def train_baseline(train_frames, cfg, *, net_spec=None, feature_config=None,
 def train_siamese(train_frames, cfg, *, net_spec=None, feature_config=None,
                   segmentation_config=None, sample_rate_hz=22050):
     feats = [f for f, _ in train_frames]
-    values = [v for _, v in train_frames]
-    _check_training_set(values)
-    labels = [label_from_value(float(v)) for v in values]
+    labels = [lab for _, lab in train_frames]
+    _check_training_set(labels, cfg.dimension)
     x = _stack_features(feats)
     spec = _net_spec_for(x, net_spec)
 

@@ -150,15 +150,19 @@ def test_train_deterministic_checkpoints(split_manifest, tmp_path):
 
 
 def test_train_missing_class_is_data_error(corpus_dir, tmp_path, capsys):
-    # keep only high-arousal rows: calibration cannot see all three classes
-    lines = (corpus_dir / "manifest.csv").read_text().strip().splitlines()
-    kept = [lines[0]] + [l for l in lines[1:] if ",high," in l]
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(kept) + "\n")
-    code = run("train", "--manifest", str(bad), "--dim", "arousal",
-               "--model", "baseline", "--epochs", "1", "--out", str(tmp_path / "x.ckpt"))
-    assert code == 2
-    assert "missing" in capsys.readouterr().err
+    """Keep only the top class of an axis: the missing two are named in the
+    axis's own labels, and no checkpoint is written."""
+    rows = list(csv.DictReader(io.StringIO((corpus_dir / "manifest.csv").read_text())))
+    for dim, top, missing in (("arousal", "high", "low, medium"),
+                              ("valence", "positive", "negative, neutral")):
+        kept = [[corpus_dir / r["path"], r["event_id"], r["arousal"], r["valence"], "train"]
+                for r in rows if r[dim] == top]
+        bad = _manifest(tmp_path / f"{dim}.csv", kept)
+        out = tmp_path / f"{dim}.ckpt"
+        code = run("train", "--manifest", str(bad), "--dim", dim,
+                   "--model", "baseline", "--epochs", "1", "--out", str(out))
+        assert code == 2 and not out.exists()
+        assert f"missing {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
@@ -413,6 +417,18 @@ def test_project_json_format(checkpoints, corpus_dir, tmp_path):
                "--in", str(corpus_dir / "manifest.csv"), "--out", str(out),
                "--format", "json") == 0
     assert len(load_points(out, fmt="json")) == 12
+
+
+def test_project_hist_on_a_recording_is_data_error_and_writes_nothing(checkpoints, corpus_dir,
+                                                                      tmp_path, capsys):
+    """A recording has no labels to sort its scores by."""
+    out, hist = tmp_path / "p.csv", tmp_path / "hist.json"
+    code = run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(checkpoints["valence"]),
+               "--in", str(corpus_dir / "synth_0000.wav"), "--out", str(out),
+               "--hist", str(hist))
+    assert code == 2 and not out.exists() and not hist.exists()
+    assert "--hist" in capsys.readouterr().err
 
 
 def test_project_swapped_models_is_data_error(checkpoints, corpus_dir, tmp_path, capsys):
@@ -675,6 +691,8 @@ def test_non_finite_float_flag_is_data_error_and_writes_nothing(corpus_dir, tmp_
 
 @pytest.mark.parametrize("argv", [
     ("segment", "--in", "x.wav", "--out", "o", "--seed", "1"),
+    ("segment", "--in", "x.wav", "--out", "o", "--frame-len", "4096"),
+    ("segment", "--in", "x.wav", "--out", "o", "--stride", "1024"),
     ("featurize", "--in", "x.wav", "--out", "o", "--seed", "1"),
     ("eval", "--model", "m", "--manifest", "x.csv", "--report", "r", "--seed", "1"),
     ("project", "--arousal-model", "a", "--valence-model", "v", "--in", "x.wav", "--out", "o",
@@ -685,8 +703,8 @@ def test_non_finite_float_flag_is_data_error_and_writes_nothing(corpus_dir, tmp_
      "--config", "/nonexistent.json"),
     ("project", "--arousal-model", "a", "--valence-model", "v", "--in", "x.wav", "--out", "o",
      "--config", "c.json"),
-], ids=["segment-seed", "featurize-seed", "eval-seed", "project-seed", "synth-config",
-        "split-config", "eval-config", "project-config"])
+], ids=["segment-seed", "segment-frame-len", "segment-stride", "featurize-seed", "eval-seed",
+        "project-seed", "synth-config", "split-config", "eval-config", "project-config"])
 def test_flag_a_command_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert run(*argv) == 1
@@ -723,6 +741,8 @@ def _config_sweep():
     pytest.param({"segmentation": {"stride": 0}}, "segmentation", id="rejected-value"),
     pytest.param({"segmentation": {"top_db": float("nan")}}, "segmentation", id="nan"),
     pytest.param({"train": {"learning_rate": float("inf")}}, "train", id="infinity"),
+    pytest.param({"segmentaton": {"top_db": 5}}, "segmentaton", id="misspelt-section"),
+    pytest.param({"train": {}, "model": "siamese"}, "model", id="unknown-section"),
     *_config_sweep(),
 ])
 def test_malformed_config_is_data_error_and_saves_nothing(corpus_dir, tmp_path, capsys,
@@ -775,6 +795,18 @@ def test_eval_unreadable_manifest_row_is_data_error(checkpoints, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 2 and not report.exists()
     assert str(tmp_path / wav) in err and "internal error" not in err
+
+
+def test_segment_unknown_config_section_is_data_error_and_makes_no_out(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"segmentaton": {"top_db": 5}}))
+    write_wav(tmp_path / "x.wav", AudioClip(np.ones(SR, dtype=np.float32), SR))
+    out = tmp_path / "events"
+    code = run("segment", "--in", str(tmp_path / "x.wav"), "--out", str(out),
+               "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert f"{cfg}: section 'segmentaton'" in err
 
 
 def test_deeply_nested_config_is_data_error(tmp_path, capsys):
