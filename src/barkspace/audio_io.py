@@ -63,7 +63,7 @@ class AudioClip:
 def read_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM16 file to a mono AudioClip.
 
-    Samples are scaled by 1/32768 into [-1, 1); stereo is collapsed to mono
+    Samples are scaled by 1/32768 into [-1, 32767/32768]; stereo is collapsed to mono
     by the per-sample arithmetic mean of the two channels. Both are exact:
     mono is ``x * 2**-15`` and stereo ``(l + r) * 2**-16`` in float64, where
     int16 sums and power-of-two scales never round, so the result has the
@@ -131,7 +131,6 @@ def read_wav(path) -> AudioClip:
     else:
         samples = ints.astype(np.float64)
         samples *= 1.0 / PCM16_SCALE
-    np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(samples, sample_rate)
 
 

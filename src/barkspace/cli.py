@@ -17,7 +17,7 @@ from .audio_io import CANONICAL_RATE_HZ, AudioClip, read_wav, resample, write_wa
 from .corpus import SynthConfig, load_manifest, save_manifest, synth_corpus
 from .evaluation import class_histograms, evaluate, event_level_split
 from .features import FeatureConfig, grid_shape
-from .segmentation import SegmentationConfig, detect_nonsilent, frame_segment
+from .segmentation import SegmentationConfig, detect_nonsilent
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -139,8 +139,9 @@ def cmd_segment(args) -> int:
 def cmd_featurize(args) -> int:
     seg_cfg, feat_cfg = _front_end(args, _load_config(args.config))
     in_path = Path(args.in_path)
-    clip = read_wav(in_path)
-    grids = pipeline.featurise(pipeline.frames_of_clip(clip, in_path.stem, seg_cfg), feat_cfg)
+    # float64 grids: 6 significant digits of a float32 value differ in some CSV cells
+    grids = pipeline.featurise(pipeline.event_of_clip(read_wav(in_path), in_path.stem),
+                               seg_cfg, feat_cfg, np.float64)
 
     if args.format == "bin":
         meta = {"kind": "log_mel", "source": str(in_path), "n_frames": len(grids),
@@ -245,7 +246,7 @@ def cmd_project(args) -> int:
     elif args.hist:
         raise ValueError("--hist needs a labeled manifest input")
     else:
-        events = [(seg.event_id, pipeline.featurise(frame_segment(seg, seg_cfg), feat_cfg))
+        events = [(seg.event_id, pipeline.featurise(seg, seg_cfg, feat_cfg))
                   for seg in _recording_events(in_path, seg_cfg)]
 
     points = [projection.project_event(arousal_ckpt, valence_ckpt, event_id, grids)

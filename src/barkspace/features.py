@@ -6,6 +6,12 @@ invariant to the gain of the input frame: the whole chain from microphone
 distance to recorder trim cancels out, and no training-corpus statistics are
 needed at projection time. With the defaults (n_fft 512, hop 128, no
 centering) a 5120-sample frame yields 37 time columns (``grid_shape``).
+
+``log_mel`` is ``log_mel_from_power`` of ``stft_power``. Column j of an
+STFT is the power of the n_fft samples from j * hop, so one ``stft_power``
+of a stretch of an event (at most ``max_stft_columns`` columns) serves every
+frame that starts a whole number of hops into it: each frame takes its own
+``n_time`` columns and gets the bits of its own ``log_mel``.
 """
 
 import math
@@ -19,7 +25,8 @@ from .segmentation import Frame
 
 _POWER_FLOOR = 1e-10
 
-# the most elements any one front-end array of a frame may hold: 8 MB of float64
+# the most elements any one front-end array may hold, for a frame or for a
+# block of an event's STFT: 8 MB of float64
 _MAX_ELEMENTS = 2**20
 
 
@@ -60,6 +67,13 @@ def grid_shape(cfg: FeatureConfig, target_len: int) -> tuple[int, int]:
             raise ValueError(f"the feature and segmentation configs make a {name} of {size} "
                              f"elements, more than the front end's bound of {_MAX_ELEMENTS}")
     return cfg.n_mels, n_time
+
+
+def max_stft_columns(cfg: FeatureConfig) -> int:
+    """The most time columns one ``stft_power`` call may make: ``grid_shape``
+    bounds both the windowed STFT matrix (n_time * n_fft) and the grid
+    (n_mels * n_time) at ``_MAX_ELEMENTS``."""
+    return _MAX_ELEMENTS // max(cfg.n_fft, cfg.n_mels)
 
 
 def hz_to_mel(f):
@@ -139,14 +153,20 @@ def mel_center_frequencies(sample_rate_hz: int,
 
 def log_mel(frame, cfg: FeatureConfig = FeatureConfig(),
             sample_rate_hz: int = CANONICAL_RATE_HZ) -> np.ndarray:
-    """Gain-invariant log-mel grid in [0, 1], shape (n_mels, n_time).
+    """Gain-invariant log-mel grid in [0, 1], shape (n_mels, n_time):
+    ``log_mel_from_power`` of the frame's ``stft_power``."""
+    return log_mel_from_power(stft_power(frame, cfg), cfg, sample_rate_hz)
+
+
+def log_mel_from_power(power: np.ndarray, cfg: FeatureConfig = FeatureConfig(),
+                       sample_rate_hz: int = CANONICAL_RATE_HZ) -> np.ndarray:
+    """The log-mel grid of one frame's power spectrogram (n_fft//2+1, n_time).
 
     The mel power grid is max-normalised, floored at _POWER_FLOOR, converted
     to dB, clamped db_floor below the (now exactly 0 dB) maximum, and mapped
     affinely so the floor is 0.0 and the maximum exactly 1.0. A frame with no
     energy at all maps to all zeros.
     """
-    power = stft_power(frame, cfg)
     mel_power = mel_filterbank(sample_rate_hz, cfg) @ power
 
     peak = mel_power.max()

@@ -3,12 +3,15 @@
 Each manifest row is one vocal event. Its audio is resampled to the
 canonical rate, treated as a single event segment spanning the whole file
 (continuous recordings should be cut into events with ``detect_nonsilent``
-or the segment CLI first), framed, and featurised. Training assembles frame
+or the segment CLI first), framed, and featurised. ``featurise`` works per
+event: the frames that start a whole number of hops apart share one STFT of
+the event's samples, blocked to ``features.max_stft_columns`` columns, and
+an event's grids are held as one float32 array. Training assembles frame
 sets per dimension, fits the requested model, and calibrates decode
 boundaries on the training frames' own predictions before saving.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -18,37 +21,73 @@ from . import models
 from .audio_io import CANONICAL_RATE_HZ, read_wav, resample
 from .corpus import ManifestEntry
 from .evaluation import calibrate_boundaries
-from .features import FeatureConfig, log_mel
+from .features import (FeatureConfig, grid_shape, log_mel, log_mel_from_power,
+                       max_stft_columns, stft_power)
 from .labels import OrdinalLabel
 from .segmentation import EventSegment, Frame, SegmentationConfig, frame_segment
 
 
 @dataclass
 class EventData:
-    """One labeled event, a manifest row, with its featurised frames."""
+    """One labeled event, a manifest row, with its frames' grids as one float32
+    (n_frames, n_mels, n_time) array."""
 
     event_id: str
     arousal: OrdinalLabel
     valence: OrdinalLabel
-    features: list = field(default_factory=list)
+    features: np.ndarray
 
     def label(self, dimension: str) -> OrdinalLabel:
         return self.arousal if dimension == "arousal" else self.valence
 
 
-def frames_of_clip(clip, event_id: str,
-                   seg_cfg: SegmentationConfig = SegmentationConfig()) -> list[Frame]:
-    """Resample to the canonical rate and frame the whole clip as one event."""
+def event_of_clip(clip, event_id: str) -> EventSegment:
+    """The whole clip, resampled to the canonical rate, as one event."""
     clip = resample(clip, CANONICAL_RATE_HZ)
     if len(clip.samples) == 0:
         raise ValueError(f"event {event_id}: empty audio")
-    seg = EventSegment(event_id, 0, len(clip.samples), clip.samples)
-    return frame_segment(seg, seg_cfg)
+    return EventSegment(event_id, 0, len(clip.samples), clip.samples)
 
 
-def featurise(frames: Sequence[Frame], feat_cfg: FeatureConfig) -> list[np.ndarray]:
-    """Log-mel grid of each canonical-rate frame."""
-    return [log_mel(f, feat_cfg, CANONICAL_RATE_HZ) for f in frames]
+def frames_of_clip(clip, event_id: str,
+                   seg_cfg: SegmentationConfig = SegmentationConfig()) -> list[Frame]:
+    """Resample to the canonical rate and frame the whole clip as one event."""
+    return frame_segment(event_of_clip(clip, event_id), seg_cfg)
+
+
+def featurise(seg: EventSegment, seg_cfg: SegmentationConfig, feat_cfg: FeatureConfig,
+              dtype=np.float32) -> np.ndarray:
+    """The ``log_mel`` grid of each of ``frame_segment(seg)``'s frames, in
+    order, as one (n_frames, n_mels, n_time) array of ``dtype``.
+
+    Consecutive frames that start a whole number of hops after a block's first
+    frame share one ``stft_power`` of the event's samples, of at most
+    ``max_stft_columns`` columns; each frame's grid is ``log_mel_from_power``
+    of its own rows, with the bits of ``log_mel`` of the frame. A frame that
+    shares no STFT (a zero-padded frame, most tail frames) runs ``log_mel``.
+    """
+    frames = frame_segment(seg, seg_cfg)
+    n_mels, n_time = grid_shape(feat_cfg, seg_cfg.target_len)
+    hop, max_cols = feat_cfg.hop, max_stft_columns(feat_cfg)
+    out = np.empty((len(frames), n_mels, n_time), dtype)
+    lo = 0
+    while lo < len(frames):
+        first = frames[lo].start
+        hi = lo + 1
+        while (hi < len(frames) and (frames[hi].start - first) % hop == 0
+               and (frames[hi].start - first) // hop + n_time <= max_cols):
+            hi += 1
+        if hi - lo == 1:
+            out[lo] = log_mel(frames[lo], feat_cfg, CANONICAL_RATE_HZ)
+        else:
+            end = frames[hi - 1].start + seg_cfg.target_len
+            rows = stft_power(seg.samples[first:end], feat_cfg).T
+            for k in range(lo, hi):
+                # C-contiguous rows, laid out as a frame's own STFT: the same mel GEMM
+                c = (frames[k].start - first) // hop
+                out[k] = log_mel_from_power(rows[c : c + n_time].T, feat_cfg, CANONICAL_RATE_HZ)
+        lo = hi
+    return out
 
 
 def load_event_features(entries: Sequence[ManifestEntry], base_dir,
@@ -61,8 +100,7 @@ def load_event_features(entries: Sequence[ManifestEntry], base_dir,
         wav_path = Path(e.path)
         if not wav_path.is_absolute():
             wav_path = base_dir / wav_path
-        clip = read_wav(wav_path)
-        grids = featurise(frames_of_clip(clip, e.event_id, seg_cfg), feat_cfg)
+        grids = featurise(event_of_clip(read_wav(wav_path), e.event_id), seg_cfg, feat_cfg)
         out.append(EventData(e.event_id, e.arousal, e.valence, grids))
     return out
 

@@ -5,7 +5,9 @@ A recording is scanned with short RMS windows; windows louder than
 non-silent windows merge into one event segment. Segments are then
 normalised to frames of exactly ``target_len`` samples: short segments are
 symmetrically zero-padded, long ones are cut with a sliding window plus one
-end-aligned frame for any tail remainder.
+end-aligned frame for any tail remainder. A frame of a long segment is a
+read-only view of the segment's samples that records its offset, so framing
+copies nothing and a featuriser can share the work of overlapping frames.
 """
 
 import math
@@ -54,11 +56,16 @@ class EventSegment:
 
 @dataclass
 class Frame:
-    """Fixed-length model input slice tied to its source event."""
+    """Fixed-length model input slice tied to its source event.
+
+    ``start`` is the offset of ``samples[0]`` in the event's samples; it is
+    negative for a zero-padded frame, whose first samples are padding.
+    """
 
     event_id: str
     frame_index: int
     samples: np.ndarray
+    start: int = 0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -108,7 +115,8 @@ def frame_segment(seg: EventSegment,
     Shorter segments get floor(d/2) zeros on the left and the rest on the
     right. The others are framed at offsets 0, stride, 2*stride, ... and, if
     the last full frame does not end at the segment end, one extra end-aligned
-    frame covers the tail without zero padding.
+    frame covers the tail without zero padding. Every frame's samples are
+    read-only: a padded copy, or a view of ``seg.samples`` from ``start``.
     """
     x = seg.samples
     n = len(x)
@@ -119,14 +127,15 @@ def frame_segment(seg: EventSegment,
     if n < t:
         d = t - n
         padded = np.concatenate((np.zeros(d // 2), x, np.zeros(d - d // 2)))
-        return [Frame(seg.event_id, 0, padded)]
+        padded.flags.writeable = False
+        return [Frame(seg.event_id, 0, padded, -(d // 2))]
 
+    starts = list(range(0, n - t + 1, cfg.stride))
+    if starts[-1] + t != n:
+        starts.append(n - t)
     frames = []
-    offset = 0
-    while offset + t <= n:
-        frames.append(Frame(seg.event_id, len(frames), x[offset : offset + t].copy()))
-        offset += cfg.stride
-    last_end = (len(frames) - 1) * cfg.stride + t
-    if last_end != n:
-        frames.append(Frame(seg.event_id, len(frames), x[n - t : n].copy()))
+    for k, start in enumerate(starts):
+        view = x[start : start + t]
+        view.flags.writeable = False
+        frames.append(Frame(seg.event_id, k, view, start))
     return frames

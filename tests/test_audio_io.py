@@ -75,6 +75,14 @@ def test_pcm16_scale_oracle(tmp_path):
     assert np.array_equal(ours, ref.astype(np.float64) / 32768.0)
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_pcm16_extremes_decode_exactly(tmp_path, channels):
+    # int16 spans [-1, 32767/32768] after scaling, mono and stereo alike: no clip is needed
+    ints = [v for v in (-32768, 32767) for _ in range(channels)]
+    p = write(tmp_path, "x.wav", wav_bytes(ints, 16000, channels=channels))
+    assert read_wav(p).samples.tolist() == [-1.0, 32767 / 32768]
+
+
 def test_decode_deterministic(tmp_path):
     rng = np.random.default_rng(1)
     ints = rng.integers(-32768, 32768, size=256).tolist()

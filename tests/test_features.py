@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from barkspace import features, pipeline
+from barkspace.audio_io import AudioClip
 from barkspace.features import (FeatureConfig, _hann_memo, grid_shape, hz_to_mel, log_mel,
                                 mel_center_frequencies, mel_filterbank, stft_power)
-from barkspace.segmentation import Frame
+from barkspace.pipeline import featurise
+from barkspace.segmentation import (EventSegment, Frame, SegmentationConfig, detect_nonsilent,
+                                    frame_segment)
 
 SR = 22050
 CFG = FeatureConfig()
@@ -194,3 +200,78 @@ def test_grid_shape_is_the_shape_log_mel_makes(cfg, target_len):
 def test_grid_shape_refuses_short_frames_and_oversized_arrays(cfg, target_len, match):
     with pytest.raises(ValueError, match=match):
         grid_shape(cfg, target_len)
+
+
+def random_events(seg_cfg, rng, count):
+    """Events of 1-80 000 samples: shorter than, equal to and whole strides past
+    target_len, then random lengths (mostly unaligned tails); some carry a zeroed
+    stretch long enough to hold a frame with no energy at all."""
+    t, s = seg_cfg.target_len, seg_cfg.stride
+    lengths = [1, t - 1, t, t + s, t + 3 * s, t + 3 * s + 1]
+    lengths += rng.integers(1, 80_001, size=count).tolist()
+    for n in lengths:
+        x = rng.standard_normal(n) * rng.uniform(1e-4, 1.0)
+        if rng.random() < 0.4:
+            a = int(rng.integers(0, n))
+            x[a : a + 3 * t] = 0.0
+        yield EventSegment("e", 0, n, x)
+
+
+@pytest.mark.parametrize("seg_cfg, feat_cfg", [
+    (SegmentationConfig(), CFG),
+    (SegmentationConfig(stride=2500), CFG),
+    (SegmentationConfig(target_len=2048, stride=1024), FeatureConfig(n_fft=256, hop=64)),
+    (SegmentationConfig(stride=5120), FeatureConfig(hop=500, n_mels=40)),
+], ids=["default", "stride-off-hop-grid", "nfft256-hop64", "odd-hop"])
+def test_featurise_is_byte_identical_to_log_mel_of_each_frame(seg_cfg, feat_cfg):
+    rng = np.random.default_rng(17)
+    silent = 0
+    for seg in random_events(seg_cfg, rng, 25):
+        frames = frame_segment(seg, seg_cfg)
+        grids = featurise(seg, seg_cfg, feat_cfg)
+        exact = featurise(seg, seg_cfg, feat_cfg, np.float64)
+        assert grids.dtype == np.float32 and len(grids) == len(exact) == len(frames)
+        for frame, grid, exact_grid in zip(frames, grids, exact):
+            ref = log_mel(frame, feat_cfg, SR)
+            assert exact_grid.tobytes() == ref.tobytes()
+            assert grid.tobytes() == ref.astype(np.float32).tobytes()
+            silent += not ref.any()
+    assert silent > 0
+
+
+def test_featurise_runs_one_stft_per_block_within_the_element_bound(monkeypatch):
+    calls = []
+
+    def counted(x, cfg):
+        calls.append(len(x))
+        return stft_power(x, cfg)
+
+    monkeypatch.setattr(pipeline, "stft_power", counted)
+    rng = np.random.default_rng(4)
+    seg_cfg = SegmentationConfig()
+    n = 5120 + 10 * 2560 + 7  # 11 hop-aligned frames and an unaligned tail
+    seg = EventSegment("e", 0, n, rng.standard_normal(n))
+    whole = featurise(seg, seg_cfg, CFG)
+    assert calls == [n - 7]  # the tail frame runs log_mel
+    calls.clear()
+    # 64 STFT columns hold two 37-column frames 20 hops apart: five shared
+    # blocks, then the eleventh frame and the tail run log_mel
+    monkeypatch.setattr(features, "_MAX_ELEMENTS", 64 * 512)
+    blocked = featurise(seg, seg_cfg, CFG)
+    assert calls == [5120 + 2560] * 5
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_featurise_holds_a_long_event_in_bounded_memory():
+    # a recording with no dynamic range is one event, however long
+    n = 120 * SR
+    clip = AudioClip(0.5 * np.sin(2 * np.pi * 440.0 * np.arange(n) / SR), SR)
+    (seg,) = detect_nonsilent(clip)
+    tracemalloc.start()
+    try:
+        grids = featurise(seg, SegmentationConfig(), CFG)
+        peak = tracemalloc.get_traced_memory()[1] - grids.nbytes
+    finally:
+        tracemalloc.stop()
+    # one STFT of the whole event would hold about 200 MB
+    assert peak < 48e6, peak

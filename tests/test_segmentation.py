@@ -130,6 +130,27 @@ def test_framing_9000_end_aligned_tail():
     assert np.array_equal(frames[2].samples, s.samples[3880:9000])
 
 
+def test_frames_are_read_only_views_at_their_offsets():
+    s = seg(9000)
+    frames = frame_segment(s)
+    assert [f.start for f in frames] == [0, 2560, 3880]
+    for f in frames:
+        assert np.shares_memory(f.samples, s.samples)
+        assert np.array_equal(f.samples, s.samples[f.start : f.start + 5120])
+        with pytest.raises(ValueError, match="read-only"):
+            f.samples[0] = 1.0
+    assert s.samples.flags.writeable
+
+
+@pytest.mark.parametrize("n, start", [(5000, -60), (5119, 0), (1, -2559)])
+def test_padded_frame_is_read_only_and_starts_before_its_event(n, start):
+    (f,) = frame_segment(seg(n))
+    assert f.start == start  # -floor(d/2) for d = 5120 - n zeros
+    assert np.array_equal(f.samples[-start : -start + n], seg(n).samples)
+    with pytest.raises(ValueError, match="read-only"):
+        f.samples[0] = 1.0
+
+
 def test_frame_count_formula():
     cfg = SegmentationConfig()
     rng = np.random.default_rng(9)
