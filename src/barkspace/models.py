@@ -11,9 +11,12 @@ both members of a pair through one stacked batch. Single-input inference
 then uses the branch scalar, which is an absolute coordinate up to an
 additive constant absorbed later by boundary calibration.
 
-Scoring takes feature grids, never audio: callers featurise each event once
-and share the grids between both axes. ``predict_many`` is the one scorer;
-it runs the network in fixed chunks, which is exact because ``forward`` is
+Training takes the training set as one float32 (n_frames, n_mels, n_time)
+grid array with one label per frame; ``_fit`` reads its batches from that
+array and makes no copy of it. Scoring takes feature grids, never audio:
+callers featurise each event once and share the grids between both axes.
+``predict_many`` is the one scorer; it runs the network in fixed chunks,
+read from a grid array as views, which is exact because ``forward`` is
 batch-invariant, so an event scores the same bits alone or inside any batch.
 
 Checkpoints are a self-describing binary container ("BDN1"): JSON metadata
@@ -170,11 +173,6 @@ class TrainResult:
     loss_history: list = field(default_factory=list)
 
 
-def _stack_features(features: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack (n_mels, n_time) grids into a float32 batch with a channel axis."""
-    return np.stack([np.asarray(f, dtype=np.float32)[None] for f in features])
-
-
 def _check_training_set(labels: Sequence[OrdinalLabel], dimension: str):
     """Refuse an empty set, or one without all three labels, naming the
     missing ones in ``dimension``'s vocabulary."""
@@ -243,22 +241,25 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
     return pairs
 
 
-def _fit(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig, examples,
+def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, examples,
          net_spec: Optional[nn.NetSpec], feature_config: FeatureConfig,
          segmentation_config: SegmentationConfig) -> TrainResult:
     """Adam on the MSE between each example's prediction and its target.
 
-    ``train_frames`` holds (feature grid, label) pairs. ``examples(labels,
-    epoch)`` gives frame indices ``first`` and ``second`` (or None) and
-    float32 targets, from the labels alone. The prediction is score(first), or
-    score(first) - score(second) with both branches in one stacked batch, so
-    their gradients accumulate into the shared weights in a fixed order.
-    Examples are reshuffled every epoch by a (seed, epoch)-derived generator;
-    the result is a pure function of (data, config, seed).
+    ``grids`` holds one (n_mels, n_time) grid per frame, as an array (a
+    float32 one is read in place, never copied) or a list, and ``labels``
+    one label per frame. ``examples(labels, epoch)`` gives frame indices
+    ``first`` and ``second`` (or None) and float32 targets, from the labels
+    alone. The prediction is score(first), or score(first) - score(second)
+    with both branches in one stacked batch, so their gradients accumulate
+    into the shared weights in a fixed order. Examples are reshuffled every
+    epoch by a (seed, epoch)-derived generator; the result is a pure function
+    of (data, config, seed).
     """
-    labels = [lab for _, lab in train_frames]
     _check_training_set(labels, cfg.dimension)
-    x = _stack_features([f for f, _ in train_frames])
+    if len(grids) != len(labels):
+        raise ValueError(f"{len(grids)} grids but {len(labels)} labels")
+    x = np.asarray(grids, dtype=np.float32)[:, None]  # the channel axis, as a view
     spec = net_spec or nn.default_net_spec(input_shape=x.shape[1:])
     ckpt = _check_checkpoint(Checkpoint(
         dimension=cfg.dimension, seed=cfg.seed, net_spec=spec,
@@ -285,29 +286,30 @@ def _fit(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConf
             grads, _ = nn.backward(spec, params, tape, upstream[:, None].astype(np.float32),
                                    input_grad=False)
             nn.adam_step(params, grads, state, cfg.learning_rate)
+            del out, tape, grads  # so the next step's tape is not built beside this one
         history.append(sum(losses) / len(perm))
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
 
-def train_baseline(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig,
+def train_baseline(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig,
                    *, net_spec: Optional[nn.NetSpec] = None,
                    feature_config: FeatureConfig = FeatureConfig(),
                    segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
     """Mean-squared-error regression of the numeric value of each frame's
-    label, from (feature grid, label) pairs."""
+    label, from the frames' grids (see ``_fit``) and their labels."""
     def examples(labels, epoch):
         return (np.arange(len(labels)), None,
                 np.asarray([l.numeric for l in labels], dtype=np.float32))
 
-    return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
+    return _fit(grids, labels, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
-def train_siamese(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: TrainConfig,
+def train_siamese(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig,
                   *, net_spec: Optional[nn.NetSpec] = None,
                   feature_config: FeatureConfig = FeatureConfig(),
                   segmentation_config: SegmentationConfig = SegmentationConfig()) -> TrainResult:
     """Train the shared head to regress ordered numeric label differences,
-    from (feature grid, label) pairs.
+    from the frames' grids (see ``_fit``) and their labels.
 
     Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
     from ``make_pairs``; the loss is the MSE between score(a) - score(b) and
@@ -318,7 +320,7 @@ def train_siamese(train_frames: Sequence[tuple[np.ndarray, OrdinalLabel]], cfg: 
         ia, ib, target = zip(*pairs)
         return np.asarray(ia), np.asarray(ib), np.asarray(target, dtype=np.float32)
 
-    return _fit(train_frames, cfg, examples, net_spec, feature_config, segmentation_config)
+    return _fit(grids, labels, cfg, examples, net_spec, feature_config, segmentation_config)
 
 
 def siamese_forward(spec: nn.NetSpec, params: nn.Params, xa: np.ndarray,
@@ -333,13 +335,15 @@ def siamese_forward(spec: nn.NetSpec, params: nn.Params, xa: np.ndarray,
 def predict_many(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> np.ndarray:
     """Single-branch scalar of each feature grid, as float64.
 
-    Grids run through the network ``neuralnet.CHUNK`` at a time; each score
-    has the same bits whatever the list's length or the grid's place in it.
+    ``features`` is a list of grids or an array of them. Grids run through
+    the network ``neuralnet.CHUNK`` at a time: a chunk of a float32 array is
+    a view of it, and a list's chunk is stacked. Each score has the same bits
+    whatever the input's length, form or the grid's place in it.
     """
     out = np.zeros(len(features))
     for lo in range(0, len(features), nn.CHUNK):
         y, _ = nn.forward(ckpt.net_spec, ckpt.params,
-                          _stack_features(features[lo : lo + nn.CHUNK]))
+                          np.asarray(features[lo : lo + nn.CHUNK], np.float32)[:, None])
         out[lo : lo + len(y)] = y[:, 0]
     return out
 

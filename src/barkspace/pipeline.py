@@ -6,9 +6,10 @@ canonical rate, treated as a single event segment spanning the whole file
 or the segment CLI first), framed, and featurised. ``featurise`` works per
 event: the frames that start a whole number of hops apart share one STFT of
 the event's samples, blocked to ``features.max_stft_columns`` columns, and
-an event's grids are held as one float32 array. Training assembles frame
-sets per dimension, fits the requested model, and calibrates decode
-boundaries on the training frames' own predictions before saving.
+an event's grids are held as one float32 array. Training joins every
+event's grids into one float32 array, held once: each event keeps a row
+slice of it. The requested model fits that array, and decode boundaries are
+calibrated on its own predictions before saving.
 """
 
 from dataclasses import dataclass
@@ -30,7 +31,11 @@ from .segmentation import EventSegment, Frame, SegmentationConfig, frame_segment
 @dataclass
 class EventData:
     """One labeled event, a manifest row, with its frames' grids as one float32
-    (n_frames, n_mels, n_time) array."""
+    (n_frames, n_mels, n_time) array.
+
+    ``train_dimension`` rebinds ``features`` to the event's rows of the joined
+    training array, a view, so the training set is held once.
+    """
 
     event_id: str
     arousal: OrdinalLabel
@@ -124,24 +129,46 @@ def select_split(entries: Sequence[ManifestEntry], split: Optional[str]) -> list
     return [e for e in entries if e.split is None]
 
 
+def _join_grids(events: Sequence[EventData], shape: tuple[int, int]) -> np.ndarray:
+    """Every event's grids, in order, in one float32 (n_frames, *shape) array.
+
+    Each event's ``features`` becomes its row slice as soon as it is copied,
+    so an event's own array is freed then and the grids are never held twice.
+    """
+    grids = np.empty((sum(len(ev.features) for ev in events), *shape), np.float32)
+    lo = 0
+    for ev in events:
+        if ev.features.shape[1:] != shape:
+            raise ValueError(f"event {ev.event_id}: grids of shape {ev.features.shape[1:]}, "
+                             f"not the configs' grid {shape}")
+        hi = lo + len(ev.features)
+        grids[lo:hi] = ev.features
+        ev.features = grids[lo:hi]
+        lo = hi
+    return grids
+
+
 def train_dimension(events: Sequence[EventData], model_kind: str,
                     cfg: models.TrainConfig,
                     *, seg_cfg: SegmentationConfig = SegmentationConfig(),
                     feat_cfg: FeatureConfig = FeatureConfig()) -> models.TrainResult:
     """Train one dimension model and calibrate its decode boundaries.
 
-    Boundaries come from the trained model's own predictions on the training
-    frames, the only absolute reference the twin-network scalar has. Raises
+    The events' grids are joined into one float32 array first (see
+    ``_join_grids``), which both training and calibration read. Boundaries
+    come from the trained model's own predictions on the training frames, the
+    only absolute reference the twin-network scalar has. Raises
     ValueError when those predictions are not finite or all equal: a
     diverged or collapsed model gets no checkpoint.
     """
     if model_kind not in ("baseline", "siamese"):
         raise ValueError(f"model must be baseline or siamese, got {model_kind!r}")
-    frames = [(g, ev.label(cfg.dimension)) for ev in events for g in ev.features]
+    grids = _join_grids(events, grid_shape(feat_cfg, seg_cfg.target_len))
+    labels = [ev.label(cfg.dimension) for ev in events for _ in range(len(ev.features))]
     trainer = models.train_baseline if model_kind == "baseline" else models.train_siamese
-    result = trainer(frames, cfg, feature_config=feat_cfg, segmentation_config=seg_cfg)
-    preds = models.predict_many(result.checkpoint, [g for g, _ in frames])
-    result.checkpoint.boundaries = calibrate_boundaries(preds, [lab for _, lab in frames])
+    result = trainer(grids, labels, cfg, feature_config=feat_cfg, segmentation_config=seg_cfg)
+    preds = models.predict_many(result.checkpoint, grids)
+    result.checkpoint.boundaries = calibrate_boundaries(preds, labels)
     if preds.min() == preds.max():
         raise ValueError(f"training collapsed: every training frame scores {preds[0]}, "
                          "so no boundaries can tell the classes apart")

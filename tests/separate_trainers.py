@@ -1,7 +1,7 @@
 """The baseline and twin-network trainers as they were before they shared
 one training loop: each with its own Adam set-up, epoch loop, shuffle and
-loss history. Like the shared loop, each takes (feature grid, label) pairs.
-Tests use them as the oracle the shared loop must match bit for bit.
+loss history. Like the shared loop, each takes the frames' grids and their
+labels. Tests use them as the oracle the shared loop must match bit for bit.
 """
 
 import numpy as np
@@ -9,8 +9,13 @@ import numpy as np
 from barkspace import neuralnet as nn
 from barkspace.features import FeatureConfig
 from barkspace.models import (Checkpoint, TrainResult, _check_loss, _check_training_set,
-                              _stack_features, make_pairs)
+                              make_pairs)
 from barkspace.segmentation import SegmentationConfig
+
+
+def _stack(grids):
+    """(n_mels, n_time) grids as a float32 batch with a channel axis: a copy."""
+    return np.stack([np.asarray(g, dtype=np.float32)[None] for g in grids])
 
 
 def _net_spec_for(features, net_spec):
@@ -32,12 +37,10 @@ def _checkpoint(cfg, spec, params, feature_config, segmentation_config, sample_r
     )
 
 
-def train_baseline(train_frames, cfg, *, net_spec=None, feature_config=None,
+def train_baseline(grids, labels, cfg, *, net_spec=None, feature_config=None,
                    segmentation_config=None, sample_rate_hz=22050):
-    feats = [f for f, _ in train_frames]
-    labels = [lab for _, lab in train_frames]
     _check_training_set(labels, cfg.dimension)
-    x = _stack_features(feats)
+    x = _stack(grids)
     y = np.asarray([lab.numeric for lab in labels], dtype=np.float32)
     spec = _net_spec_for(x, net_spec)
 
@@ -65,12 +68,10 @@ def train_baseline(train_frames, cfg, *, net_spec=None, feature_config=None,
     return TrainResult(checkpoint=ckpt, loss_history=history)
 
 
-def train_siamese(train_frames, cfg, *, net_spec=None, feature_config=None,
+def train_siamese(grids, labels, cfg, *, net_spec=None, feature_config=None,
                   segmentation_config=None, sample_rate_hz=22050):
-    feats = [f for f, _ in train_frames]
-    labels = [lab for _, lab in train_frames]
     _check_training_set(labels, cfg.dimension)
-    x = _stack_features(feats)
+    x = _stack(grids)
     spec = _net_spec_for(x, net_spec)
 
     pairs_per_epoch = cfg.pairs_per_epoch or 4 * len(x)

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 from collections import Counter
 from dataclasses import asdict, fields, replace
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import separate_trainers
-from barkspace import models, neuralnet as nn
+from barkspace import models, neuralnet as nn, pipeline
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.labels import OrdinalLabel
@@ -49,11 +50,11 @@ def toy_grid(label, rng):
 
 
 def toy_set(n_per_class, seed=0):
+    """(grids, labels): one float32 grid array, as training takes it, and a
+    label per grid."""
     rng = np.random.default_rng(seed)
-    out = []
-    for label in (H, M, L):
-        out.extend((toy_grid(label, rng), label) for _ in range(n_per_class))
-    return out
+    labels = [label for label in (H, M, L) for _ in range(n_per_class)]
+    return np.asarray([toy_grid(label, rng) for label in labels], np.float32), labels
 
 
 def toy_checkpoint(seed=0, dimension="arousal", boundaries=None):
@@ -146,7 +147,7 @@ def test_baseline_memorizes_tiny_set():
     data = toy_set(1, seed=4)
     cfg = TrainConfig(dimension="arousal", epochs=300, batch_size=3,
                       learning_rate=3e-3, seed=0)
-    result = train_baseline(data, cfg, **TOY)
+    result = train_baseline(*data, cfg, **TOY)
     assert result.loss_history[-1] < 1e-3
 
 
@@ -154,18 +155,20 @@ def test_baseline_loss_trend_on_separable_set():
     data = toy_set(8, seed=5)
     cfg = TrainConfig(dimension="valence", epochs=12, batch_size=8,
                       learning_rate=2e-3, seed=1)
-    result = train_baseline(data, cfg, **TOY)
+    result = train_baseline(*data, cfg, **TOY)
     ma = np.convolve(result.loss_history, np.ones(5) / 5, mode="valid")
     assert np.all(np.diff(ma) <= 1e-9)
 
 
 def test_baseline_requires_all_classes():
     rng = np.random.default_rng(0)
-    data = [(toy_grid(H, rng), H), (toy_grid(M, rng), M)]
+    grids = [toy_grid(H, rng), toy_grid(M, rng)]
     with pytest.raises(ValueError, match="missing low$"):
-        train_baseline(data, TrainConfig(dimension="arousal", epochs=1))
+        train_baseline(grids, [H, M], TrainConfig(dimension="arousal", epochs=1))
     with pytest.raises(ValueError, match="empty"):
-        train_baseline([], TrainConfig(dimension="arousal", epochs=1))
+        train_baseline([], [], TrainConfig(dimension="arousal", epochs=1))
+    with pytest.raises(ValueError, match="^2 grids but 3 labels$"):
+        train_baseline(grids, [H, M, L], TrainConfig(dimension="arousal", epochs=1))
 
 
 def test_training_is_deterministic():
@@ -173,8 +176,8 @@ def test_training_is_deterministic():
     cfg = TrainConfig(dimension="arousal", epochs=3, batch_size=4,
                       learning_rate=1e-3, seed=11, pairs_per_epoch=60)
     for trainer in (train_baseline, train_siamese):
-        a = trainer(data, cfg, **TOY).checkpoint
-        b = trainer(data, cfg, **TOY).checkpoint
+        a = trainer(*data, cfg, **TOY).checkpoint
+        b = trainer(*data, cfg, **TOY).checkpoint
         for (n1, t1), (n2, t2) in zip(a.params.tensors(), b.params.tensors()):
             assert n1 == n2 and np.array_equal(t1, t2), n1
 
@@ -189,8 +192,8 @@ def test_shared_loop_is_bit_equal_to_separate_trainers(kind, batch_size, pairs_p
     data = toy_set(4, seed=8)
     cfg = TrainConfig(dimension="valence", epochs=2, batch_size=batch_size,
                       learning_rate=3e-3, seed=13, pairs_per_epoch=pairs_per_epoch)
-    new = getattr(models, f"train_{kind}")(data, cfg, **TOY)
-    ref = getattr(separate_trainers, f"train_{kind}")(data, cfg, **TOY)
+    new = getattr(models, f"train_{kind}")(*data, cfg, **TOY)
+    ref = getattr(separate_trainers, f"train_{kind}")(*data, cfg, **TOY)
     assert new.loss_history == ref.loss_history and len(new.loss_history) == 2
     for (n1, t1), (n2, t2) in zip(new.checkpoint.params.tensors(),
                                   ref.checkpoint.params.tensors(), strict=True):
@@ -199,11 +202,83 @@ def test_shared_loop_is_bit_equal_to_separate_trainers(kind, batch_size, pairs_p
     assert new.checkpoint == ref.checkpoint
 
 
+def _peak_net_bytes(run) -> int:
+    """tracemalloc peak of ``run()`` above the memory traced when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("trainer", [train_baseline, train_siamese])
+def test_trainers_read_a_float32_grid_array_in_place(trainer):
+    """No copy of the training set: the toy net's tape at batch 32 is small
+    beside 6000 grids (3.5 MB), so a second copy would pass half their size."""
+    grids, labels = toy_set(2000, seed=9)
+    cfg = TrainConfig(dimension="arousal", epochs=1, batch_size=32, seed=1, pairs_per_epoch=256)
+    assert grids.dtype == np.float32
+    peak = _peak_net_bytes(lambda: trainer(grids, labels, cfg, **TOY))
+    assert peak < grids.nbytes / 2, (peak, grids.nbytes)
+
+
+# frames of 1216 samples make 16x16 grids, the smallest the default net takes
+SMALL_FEATURES = FeatureConfig(n_fft=256, hop=64, n_mels=16)
+SMALL_SEGMENTATION = SegmentationConfig(target_len=1216, stride=608)
+
+
+@pytest.mark.parametrize("kind", ["baseline", "siamese"])
+def test_train_dimension_holds_each_events_grids_once(kind, monkeypatch):
+    """While training and calibration run, the traced memory stays within
+    half the events' grids (4 MB) of what it was before: each event's own
+    array is freed once it is copied into the joined training array."""
+    forward = nn.forward
+    samples = []
+
+    def sampled(*args, **kwargs):
+        samples.append(tracemalloc.get_traced_memory()[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", sampled)
+    cfg = TrainConfig(dimension="valence", epochs=1, batch_size=32, seed=2, pairs_per_epoch=256)
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        events = [pipeline.EventData(f"e{k}", H, (H, M, L)[k % 3],
+                                     rng.random((20, 16, 16), dtype=np.float32))
+                  for k in range(200)]
+        expected = [ev.features.copy() for ev in events]
+        size = sum(ev.features.nbytes for ev in events)
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline.train_dimension(events, kind, cfg, seg_cfg=SMALL_SEGMENTATION,
+                                 feat_cfg=SMALL_FEATURES)
+    finally:
+        tracemalloc.stop()
+    assert samples and max(samples) - before < size / 2, (max(samples) - before, size)
+    joined = events[0].features.base
+    assert joined.shape == (4000, 16, 16) and joined.dtype == np.float32
+    for ev, grids in zip(events, expected):
+        assert ev.features.base is joined and np.array_equal(ev.features, grids)
+
+
+def test_train_dimension_refuses_grids_of_another_shape():
+    rng = np.random.default_rng(0)
+    events = [pipeline.EventData(f"e{k}", H, lab, rng.random((2, 16, 16), dtype=np.float32))
+              for k, lab in enumerate((H, M, L))]
+    events[1].features = events[1].features[:, :, :15]
+    with pytest.raises(ValueError, match=r"event e1: grids of shape \(16, 15\)"):
+        pipeline.train_dimension(events, "baseline", TrainConfig(dimension="valence", epochs=1),
+                                 seg_cfg=SMALL_SEGMENTATION, feat_cfg=SMALL_FEATURES)
+
+
 def test_siamese_separates_toy_classes():
     data = toy_set(6, seed=7)
     cfg = TrainConfig(dimension="arousal", epochs=25, batch_size=16,
                       learning_rate=2e-3, seed=2, pairs_per_epoch=180)
-    ckpt = train_siamese(data, cfg, **TOY).checkpoint
+    ckpt = train_siamese(*data, cfg, **TOY).checkpoint
     rng = np.random.default_rng(99)
     high = predict_many(ckpt, [toy_grid(H, rng) for _ in range(8)])
     low = predict_many(ckpt, [toy_grid(L, rng) for _ in range(8)])
@@ -289,6 +364,11 @@ def test_predict_many_is_exact_under_chunking():
     for lo, hi in ((0, 1), (3, 40), (nn.CHUNK - 1, nn.CHUNK + 1), (7, len(grids))):
         assert np.array_equal(predict_many(ckpt, grids[lo:hi]), scores[lo:hi])
     assert predict_many(ckpt, []).shape == (0,)
+    # an array's chunks are views of it; a list's are stacked: the same bits
+    as_array = np.asarray(grids, np.float32)
+    assert np.array_equal(predict_many(ckpt, as_array), scores)
+    assert np.array_equal(predict_many(ckpt, list(as_array)), scores)
+    assert np.array_equal(predict_many(ckpt, as_array[3:40]), scores[3:40])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
@@ -297,7 +377,7 @@ def test_diverging_training_raises(trainer):
     cfg = TrainConfig(dimension="arousal", epochs=5, batch_size=4,
                       learning_rate=1e4, seed=0, pairs_per_epoch=40)
     with pytest.raises(ValueError, match="diverged.*step"):
-        trainer(toy_set(4, seed=3), cfg, **TOY)
+        trainer(*toy_set(4, seed=3), cfg, **TOY)
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -479,7 +559,7 @@ def test_checkpoint_head_must_have_one_output(tmp_path, out_units):
     if out_units:
         wide = nn.NetSpec(TOY_SHAPE, TOY_SPEC.layers[:-1] + (nn.Dense(out_units),))
         with pytest.raises(ValueError, match=r"dense\(1\)"):
-            train_baseline(toy_set(2), TrainConfig(dimension="arousal", epochs=1),
+            train_baseline(*toy_set(2), TrainConfig(dimension="arousal", epochs=1),
                            **dict(TOY, net_spec=wide))
 
 
