@@ -38,8 +38,8 @@ for seg in events:
     span = f"[{seg.start_sample}, {seg.end_sample})"
     print(f"{seg.event_id}: span {span}, {len(seg.samples)} samples "
           f"-> {len(frames)} frame(s)")
-    for f in frames:
+    for k, f in enumerate(frames):
         pad = int((f.samples == 0.0).sum())
-        print(f"   frame {f.frame_index}: {len(f.samples)} samples, "
+        print(f"   frame {k}: {len(f.samples)} samples, "
               f"{pad} zero samples")
 print("\nEvery frame is exactly", cfg.target_len, "samples, whatever the event length.")

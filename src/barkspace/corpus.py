@@ -34,6 +34,9 @@ _F0_BANDS = {OrdinalLabel.NEGATIVE: (150.0, 250.0), OrdinalLabel.NEUTRAL: (350.0
              OrdinalLabel.POSITIVE: (700.0, 1000.0)}
 _NOISE_DB = -10.0
 _N_HARMONICS = 6
+# rendering holds several float64 arrays of an event's length, 8 MB each at
+# this bound (47.6 s at 22.05 kHz)
+MAX_EVENT_SAMPLES = 2**20
 
 # round-robin order covers every level of both dimensions within 3 events
 _COMBO_ORDER = (
@@ -76,6 +79,10 @@ class SynthConfig:
         lo, hi = self.duration_range
         if not (0 < lo <= hi < math.inf):
             raise ValueError("duration_range must be increasing, positive and finite")
+        for dur in (lo, hi):  # _render_event makes round(dur * rate) samples
+            if not 0.5 < dur * CANONICAL_RATE_HZ <= MAX_EVENT_SAMPLES:
+                raise ValueError(f"an event of {dur} s holds fewer than 1 or more than "
+                                 f"{MAX_EVENT_SAMPLES} samples at {CANONICAL_RATE_HZ} Hz")
 
 
 def load_manifest(path) -> list[ManifestEntry]:

@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .audio_io import CANONICAL_RATE_HZ
-from .segmentation import Frame
 
 _POWER_FLOOR = 1e-10
 
@@ -85,17 +84,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def _frame_samples(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.samples
-    return np.asarray(frame, dtype=np.float64)
-
-
 def stft_power(frame, cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """Hann-windowed, non-centered power spectrogram, shape (n_fft//2+1, n_time),
-    for a frame that ``grid_shape`` accepts.
+    of a frame's samples (a ``Frame`` or an array) that ``grid_shape`` accepts.
     """
-    x = _frame_samples(frame)
+    x = np.asarray(getattr(frame, "samples", frame), dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"frame must be one-dimensional, got shape {x.shape}")
     _, n_time = grid_shape(cfg, len(x))

@@ -1,13 +1,13 @@
 """The two trainable regressors plus pair construction and persistence.
 
 Both models share the same CNN head producing one scalar per input, and
-one training loop (``_fit``: Adam on a mean squared error). They differ
-only in the examples each epoch hands that loop. The baseline's are the
-frames themselves, with the numeric label value as target. The adjusted
-twin-network model's are ``make_pairs`` label pairs, scored with the shared
-head so that score(a) - score(b) is trained to match the signed numeric
-difference of their ordinal labels; training and ``siamese_forward`` run
-both members of a pair through one stacked batch. Single-input inference
+one training step (``_fit``: Adam on a mean squared error). They differ
+only in the examples each epoch hands it: the baseline's are single frames
+with their numeric label values as targets. The adjusted twin-network
+model's are ``make_pairs`` label pairs, scored with the shared head so that
+score(a) - score(b) is trained to match the signed numeric difference of
+their ordinal labels; training and ``siamese_forward`` run both members of
+a pair through one stacked batch. Single-input inference
 then uses the branch scalar, which is an absolute coordinate up to an
 additive constant absorbed later by boundary calibration.
 
@@ -47,6 +47,9 @@ from .segmentation import SegmentationConfig
 CHECKPOINT_MAGIC = b"BDN1"
 TENSOR_FILE_MAGIC = b"BDF1"
 CHECKPOINT_VERSION = 1
+# an epoch's pairs are all held while they are drawn, about 170 bytes each
+# (make_pairs' tuples, then the index arrays): 180 MB at this bound
+MAX_PAIRS_PER_EPOCH = 2**20
 
 
 class CheckpointError(ValueError):
@@ -95,8 +98,8 @@ class TrainConfig:
             raise ValueError(f"dimension must be one of {DIMENSIONS}")
         if not (self.epochs > 0 and self.batch_size > 0 and 0 < self.learning_rate < math.inf):
             raise ValueError("epochs, batch_size and learning_rate must be positive and finite")
-        if self.pairs_per_epoch is not None and not (self.pairs_per_epoch > 0):
-            raise ValueError("pairs_per_epoch must be positive")
+        if not (self.pairs_per_epoch is None or 0 < self.pairs_per_epoch <= MAX_PAIRS_PER_EPOCH):
+            raise ValueError(f"pairs_per_epoch must be in [1, {MAX_PAIRS_PER_EPOCH}]")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -226,8 +229,6 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
 
     pairs = []
     for (a, b), count in zip(cells, counts):
-        if count == 0:
-            continue
         ga, gb = groups[a], groups[b]
         ia = ga[rng.integers(0, len(ga), size=count)]
         ib = gb[rng.integers(0, len(gb), size=count)]
@@ -248,13 +249,14 @@ def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, ex
 
     ``grids`` holds one (n_mels, n_time) grid per frame, as an array (a
     float32 one is read in place, never copied) or a list, and ``labels``
-    one label per frame. ``examples(labels, epoch)`` gives frame indices
-    ``first`` and ``second`` (or None) and float32 targets, from the labels
-    alone. The prediction is score(first), or score(first) - score(second)
-    with both branches in one stacked batch, so their gradients accumulate
-    into the shared weights in a fixed order. Examples are reshuffled every
-    epoch by a (seed, epoch)-derived generator; the result is a pure function
-    of (data, config, seed).
+    one label per frame. ``examples(labels, epoch)`` gives, from the labels
+    alone, ``members``, a (k, n) array of frame indices, and n float32
+    targets. An example's prediction is the score of its member 0 minus the
+    scores of its other members: score(a) for k = 1, score(a) - score(b) for
+    k = 2. A batch runs all its members as one stacked batch, so their
+    gradients accumulate into the shared weights in a fixed order. Examples
+    are reshuffled every epoch by a (seed, epoch)-derived generator; the
+    result is a pure function of (data, config, seed).
     """
     _check_training_set(labels, cfg.dimension)
     if len(grids) != len(labels):
@@ -270,21 +272,19 @@ def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, ex
     state = nn.init_adam(params)
     history = []
     for epoch in range(cfg.epochs):
-        first, second, target = examples(labels, epoch)
+        members, target = examples(labels, epoch)
+        sign = np.array((1, -1)[: len(members)], np.float32)  # d pred / d member score
         perm = np.random.default_rng((cfg.seed, epoch, 0x5487FE)).permutation(len(target))
         losses = []
         for lo in range(0, len(perm), cfg.batch_size):
             sel = perm[lo : lo + cfg.batch_size]
             b = len(sel)
-            rows = first[sel] if second is None else np.concatenate((first[sel], second[sel]))
-            out, tape = nn.forward(spec, params, x[rows])
-            pred = out[:b, 0] if second is None else out[:b, 0] - out[b:, 0]
-            err = pred - target[sel]
+            out, tape = nn.forward(spec, params, x[members[:, sel].ravel()])
+            score = out[:, 0].reshape(len(members), b)
+            err = score[0] - score[1:].sum(axis=0) - target[sel]
             losses.append(_check_loss(float(np.mean(err * err)), state.t + 1) * b)
-            g = (2.0 / b) * err
-            upstream = g if second is None else np.concatenate((g, -g))
-            grads, _ = nn.backward(spec, params, tape, upstream[:, None].astype(np.float32),
-                                   input_grad=False)
+            upstream = np.outer(sign, (2.0 / b) * err).reshape(-1, 1)
+            grads, _ = nn.backward(spec, params, tape, upstream, input_grad=False)
             nn.adam_step(params, grads, state, cfg.learning_rate)
             del out, tape, grads  # so the next step's tape is not built beside this one
         history.append(sum(losses) / len(perm))
@@ -298,8 +298,7 @@ def train_baseline(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: Train
     """Mean-squared-error regression of the numeric value of each frame's
     label, from the frames' grids (see ``_fit``) and their labels."""
     def examples(labels, epoch):
-        return (np.arange(len(labels)), None,
-                np.asarray([l.numeric for l in labels], dtype=np.float32))
+        return np.arange(len(labels))[None], np.asarray([l.numeric for l in labels], np.float32)
 
     return _fit(grids, labels, cfg, examples, net_spec, feature_config, segmentation_config)
 
@@ -318,7 +317,7 @@ def train_siamese(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainC
     def examples(labels, epoch):
         pairs = make_pairs(labels, cfg.pairs_per_epoch or 4 * len(labels), cfg.seed, epoch)
         ia, ib, target = zip(*pairs)
-        return np.asarray(ia), np.asarray(ib), np.asarray(target, dtype=np.float32)
+        return np.array((ia, ib)), np.asarray(target, dtype=np.float32)
 
     return _fit(grids, labels, cfg, examples, net_spec, feature_config, segmentation_config)
 

@@ -19,7 +19,9 @@ it is <= 0, the output is 0 and the gradient is 0 under either order.
 Max-pooling copies its input once into four contiguous window planes
 (top-left, top-right, bottom-left, bottom-right) and runs a strict ``>``
 tournament over them, so ties go to the earliest position; the winning
-position is cached as an int8 window index. ``backward(..., input_grad=
+position is cached as an int8 window index. The pooled value is the plain
+``np.maximum`` of the top and bottom pairs' maxima, which on a tie of +0.0
+with -0.0 keeps the top pair's bits. ``backward(..., input_grad=
 False)`` skips the work that only the input gradient needs (the first conv
 layer's patch GEMM and col2im) and returns None for it; training uses this,
 since nothing reads the gradient of the features.
@@ -270,7 +272,8 @@ def _conv_backward(d, x, w, dw, db, input_grad=True):
 
 
 def _bits(a):
-    """Same-width integer view of a float array, for branch-free selection.
+    """Same-width integer view of a float array, for branch-free selection in
+    ``_pool_backward``.
 
     ``np.where`` and ``copyto(where=)`` branch per element and run several
     times slower on the random masks of max-pooling; an AND with a 0/-1 mask
@@ -294,13 +297,9 @@ def _pool_forward(x):
     right_top = tr > tl
     # right = where(take_bot, br > bl, right_top), as boolean algebra
     right = right_top ^ ((right_top ^ (br > bl)) & take_bot)
-    # y = where(take_bot, bot, y): flip the bits in which bot differs from y,
-    # on the windows where take_bot
-    diff = _bits(bot)
-    diff ^= _bits(y)
-    diff &= -take_bot.view(np.int8)
-    y_bits = _bits(y)
-    y_bits ^= diff
+    # y = where(take_bot, bot, y): np.maximum returns its second operand on a
+    # tie, so a +0.0/-0.0 tie keeps y's bits
+    np.maximum(bot, y, out=y)
     idx = 2 * take_bot.view(np.int8) + right.view(np.int8)
     return y, idx
 
@@ -477,8 +476,7 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float):
 
     Raises ValueError, naming the step, when a moment is not finite: a NaN or
     infinite gradient, or one whose square overflows, would otherwise turn
-    the updates into NaN or silently into zero. Returns the (mutated) pair so
-    call sites can stay functional in style.
+    the updates into NaN or silently into zero.
     """
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
@@ -503,4 +501,3 @@ def adam_step(params: Params, grads: list, state: AdamState, lr: float):
                 raise ValueError(f"training diverged: the gradient or its moments for "
                                  f"layer {i} {k} are not finite at Adam step {state.t}")
             entry[k] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-    return params, state

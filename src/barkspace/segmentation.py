@@ -56,14 +56,12 @@ class EventSegment:
 
 @dataclass
 class Frame:
-    """Fixed-length model input slice tied to its source event.
+    """Fixed-length model input slice of an event.
 
     ``start`` is the offset of ``samples[0]`` in the event's samples; it is
     negative for a zero-padded frame, whose first samples are padding.
     """
 
-    event_id: str
-    frame_index: int
     samples: np.ndarray
     start: int = 0
 
@@ -128,14 +126,14 @@ def frame_segment(seg: EventSegment,
         d = t - n
         padded = np.concatenate((np.zeros(d // 2), x, np.zeros(d - d // 2)))
         padded.flags.writeable = False
-        return [Frame(seg.event_id, 0, padded, -(d // 2))]
+        return [Frame(padded, -(d // 2))]
 
     starts = list(range(0, n - t + 1, cfg.stride))
     if starts[-1] + t != n:
         starts.append(n - t)
     frames = []
-    for k, start in enumerate(starts):
+    for start in starts:
         view = x[start : start + t]
         view.flags.writeable = False
-        frames.append(Frame(seg.event_id, k, view, start))
+        frames.append(Frame(view, start))
     return frames

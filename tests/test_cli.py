@@ -640,6 +640,39 @@ def test_oversized_front_end_config_is_data_error_and_writes_nothing(corpus_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dur", ["1e9", "1e-5"])
+def test_synth_duration_out_of_bounds_is_data_error_and_writes_nothing(tmp_path, dur):
+    """Durations whose events would hold no sample, or too many to render,
+    exit 2 naming the duration: not 3 on a failed allocation, nor 2 with
+    numpy's message on an empty event."""
+    out = tmp_path / "corpus"
+    done = run_in_process("synth", "--n-events", "6", "--dur-min", dur, "--dur-max", dur,
+                          "--out", str(out), preexec_fn=_cap_address_space)
+    assert done.returncode == 2, done.stderr
+    assert f"an event of {float(dur)} s holds fewer than 1 or more than 1048576" in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_oversized_pairs_per_epoch_is_data_error_and_writes_nothing(corpus_dir, tmp_path,
+                                                                    route):
+    """A pair count past the bound exits 2 before any audio is read, not 3 on
+    a failed allocation in make_pairs."""
+    out = tmp_path / "out.ckpt"
+    argv = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
+            "--model", "siamese", "--out", str(out)]
+    if route == "flag":
+        argv += ["--pairs-per-epoch", str(10**12)]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"pairs_per_epoch": 10**12}}))
+        argv += ["--config", str(cfg)]
+    done = run_in_process(*argv, preexec_fn=_cap_address_space)
+    assert done.returncode == 2, done.stderr
+    assert f"pairs_per_epoch must be in [1, {models.MAX_PAIRS_PER_EPOCH}]" in done.stderr
+    assert not out.exists()
+
+
 def test_config_file_overrides(corpus_dir, tmp_path):
     """defaults < config file < flags, for the seed as for every other value."""
     cfg = tmp_path / "cfg.json"

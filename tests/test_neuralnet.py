@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +303,8 @@ POOL_INPUTS = {
     "few-levels": lambda rng, shape: rng.integers(-1, 2, size=shape).astype(float),
     "all-negative": lambda rng, shape: -0.1 - np.abs(rng.standard_normal(shape)),
     "relu-zeros": lambda rng, shape: np.maximum(rng.standard_normal(shape), 0.0),
+    # windows that tie -0.0 with +0.0: the pooled bits depend on the select's tie rule
+    "signed-zeros": lambda rng, shape: np.where(rng.random(shape) < 0.5, -0.0, 0.0),
 }
 
 
@@ -315,6 +321,8 @@ def test_maxpool_matches_per_window_oracle(kind, shape, dtype):
     y_ref, dx_ref = naive_pool(x, d)
     assert y.dtype == dtype and dx.dtype == dtype
     assert np.array_equal(y, y_ref)
+    # array_equal takes -0.0 for +0.0; the unchunked engine's select fixes the bits
+    assert y.tobytes() == unchunked.forward(spec, nn.init_params(spec, 0), x)[0].tobytes()
     assert np.array_equal(dx, dx_ref)
     h2, w2 = shape[2] // 2, shape[3] // 2
     assert np.all(dx[:, :, 2 * h2 :, :] == 0) and np.all(dx[:, :, :, 2 * w2 :] == 0)
@@ -528,3 +536,46 @@ def test_training_step_memory_is_at_most_half_the_unchunked_step():
             tracemalloc.stop()
 
     assert peak(chunked) <= peak(whole) / 2
+
+
+# --- the same bits under a second BLAS kernel ---------------------------------
+
+# prints the kernel name that numpy's OpenBLAS reports, or nothing
+_KERNEL_PROBE = """
+import ctypes, glob, os, numpy
+here = os.path.dirname(numpy.__file__)
+for lib in glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*")):
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        corename = getattr(ctypes.CDLL(lib), name, None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            print(corename().decode())
+            raise SystemExit
+"""
+
+BIT_EQUALITY_TESTS = [
+    "tests/test_neuralnet.py::test_chunked_engine_is_bit_equal_to_unchunked",
+    "tests/test_neuralnet.py::test_training_batch_is_bit_equal_to_unchunked",
+    "tests/test_neuralnet.py::test_chunked_engine_matches_unchunked_on_random_specs",
+    "tests/test_neuralnet.py::test_forward_is_batch_invariant",
+    "tests/test_models.py::test_predict_many_is_exact_under_chunking",
+    "tests/test_models.py::test_shared_loop_is_bit_equal_to_separate_trainers",
+]
+
+
+def test_bit_equality_holds_under_a_second_blas_kernel():
+    """The engine's bit-equality tests pass again in a child process whose
+    OpenBLAS runs its Haswell kernel, so a change that is bit-equal only under
+    one kernel's blocking fails here. Every GEMM's bits depend on the kernel."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(Path(nn.__file__).parent.parent),
+                                                       os.environ.get("PYTHONPATH"))))}
+    kernel = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env, capture_output=True,
+                            text=True, timeout=60).stdout.strip()
+    if kernel != "Haswell":
+        pytest.skip(f"the child's OpenBLAS reports kernel {kernel or 'unknown'!r}, not Haswell")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *BIT_EQUALITY_TESTS], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-4000:]

@@ -162,8 +162,6 @@ def test_frame_count_formula():
             expect += 1
         assert len(frames) == expect, n
         assert all(len(f.samples) == cfg.target_len for f in frames)
-        assert [f.frame_index for f in frames] == list(range(len(frames)))
-        assert all(f.event_id == "ev" for f in frames)
 
 
 def test_empty_segment_rejected():
