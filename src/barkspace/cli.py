@@ -3,6 +3,8 @@
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 data error (unreadable or inconsistent inputs), 3 internal invariant
 violation. Every subcommand is deterministic given its flags and inputs.
+``eval`` and ``project`` featurise, score and drop one event at a time, so
+they hold one event's grids, not the corpus's.
 """
 
 import argparse
@@ -192,10 +194,20 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split):
-    """Featurise only the manifest rows that ``pipeline.select_split`` picks."""
+def _events_from_manifest(manifest_path, seg_cfg, feat_cfg, split, missing=None):
+    """The manifest rows that ``pipeline.select_split`` picks, each featurised
+    only as the returned generator reaches it, so a reader that drops each
+    event holds one event's grids at a time.
+
+    The rows are picked at once: when none is and ``missing`` is given, this
+    raises ValueError naming ``missing`` before anything is featurised.
+    """
     entries = pipeline.select_split(load_manifest(manifest_path), split)
-    return pipeline.load_event_features(entries, Path(manifest_path).parent, seg_cfg, feat_cfg)
+    if missing is not None and not entries:
+        raise ValueError(f"{manifest_path}: {missing}")
+    base = Path(manifest_path).parent
+    return (ev for e in entries
+            for ev in pipeline.load_event_features([e], base, seg_cfg, feat_cfg))
 
 
 def cmd_train(args) -> int:
@@ -206,9 +218,8 @@ def cmd_train(args) -> int:
         "learning_rate": args.lr, "seed": args.seed,
         "pairs_per_epoch": args.pairs_per_epoch})
 
-    events = _events_from_manifest(args.manifest, seg_cfg, feat_cfg, "train")
-    if not events:
-        raise ValueError(f"{args.manifest}: no training events")
+    events = list(_events_from_manifest(args.manifest, seg_cfg, feat_cfg, "train",
+                                        missing="no training events"))
     result = pipeline.train_dimension(events, args.model, cfg,
                                       seg_cfg=seg_cfg, feat_cfg=feat_cfg)
     models.save_checkpoint(result.checkpoint, args.out)
@@ -219,11 +230,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Featurise, score and drop one event at a time (see ``evaluate``)."""
     ckpt = models.load_checkpoint(args.model)
     events = _events_from_manifest(args.manifest, ckpt.segmentation_config,
-                                   ckpt.feature_config, args.split)
-    if not events:
-        raise ValueError(f"{args.manifest}: no events in split {args.split!r}")
+                                   ckpt.feature_config, args.split,
+                                   missing=f"no events in split {args.split!r}")
     report = evaluate(ckpt, pipeline.evaluation_events(events, ckpt.dimension))
     Path(args.report).write_text(report.to_json())
     if args.verbose:
@@ -233,7 +244,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
-    """Featurise each event once; both axes score the same grids."""
+    """Featurise, project and drop one event at a time; both axes score the
+    same grids. Only the points, and for ``--hist`` each event's labels, are
+    kept until the files are written."""
     arousal_ckpt = models.load_checkpoint(args.arousal_model)
     valence_ckpt = models.load_checkpoint(args.valence_model)
     projection.check_pair(arousal_ckpt, valence_ckpt)
@@ -241,33 +254,36 @@ def cmd_project(args) -> int:
 
     in_path = Path(args.in_path)
     if in_path.suffix.lower() == ".csv":
-        labeled = _events_from_manifest(in_path, seg_cfg, feat_cfg, None)
-        events = [(ev.event_id, ev.features) for ev in labeled]
+        events = ((ev.event_id, ev.features, (ev.arousal, ev.valence))
+                  for ev in _events_from_manifest(in_path, seg_cfg, feat_cfg, None))
     elif args.hist:
         raise ValueError("--hist needs a labeled manifest input")
     else:
-        events = [(seg.event_id, pipeline.featurise(seg, seg_cfg, feat_cfg))
-                  for seg in _recording_events(in_path, seg_cfg)]
+        events = ((seg.event_id, pipeline.featurise(seg, seg_cfg, feat_cfg), None)
+                  for seg in _recording_events(in_path, seg_cfg))
 
-    points = [projection.project_event(arousal_ckpt, valence_ckpt, event_id, grids)
-              for event_id, grids in events]
+    points, labels = [], []
+    for event_id, grids, label in events:
+        points.append(projection.project_event(arousal_ckpt, valence_ckpt, event_id, grids))
+        labels.append(label)
     projection.export_points(points, args.out, fmt=args.format)
     if args.hist:
-        _write_projection_histograms(args.hist, labeled, points)
+        _write_projection_histograms(args.hist, labels, points)
     if args.verbose:
         print(f"projected {len(points)} event(s) to {args.out}")
     return 0
 
 
-def _write_projection_histograms(path, events, points):
+def _write_projection_histograms(path, labels, points):
     """``class_histograms`` of the raw event scores of each dimension.
 
-    The scores are the ones ``project_event`` computed for ``points``, which
-    hold one point per event, in order.
+    ``labels`` holds each event's (arousal, valence) labels, and ``points``
+    its point, in the same order; the scores are the ones ``project_event``
+    computed for the points.
     """
     out = {dim: class_histograms([getattr(p, f"{dim}_score") for p in points],
-                                 [ev.label(dim) for ev in events])
-           for dim in ("arousal", "valence")}
+                                 [label[k] for label in labels])
+           for k, dim in enumerate(("arousal", "valence"))}
     Path(path).write_text(json.dumps(out, indent=2))
 
 

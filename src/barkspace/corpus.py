@@ -190,7 +190,9 @@ def _render_event(rng: np.random.Generator, arousal: OrdinalLabel,
         # the class without dragging the spectral centroid above the tones
         white = np.fft.rfft(rng.normal(0.0, 1.0, size=n))
         shaped = np.fft.irfft(white / (np.fft.rfftfreq(n, 1.0 / sr) + 50.0), n)
-        shaped /= shaped.std()
+        std = shaped.std()
+        if std > 0:  # a 1-sample event's noise has none
+            shaped /= std
         wave = wave + level * 10.0 ** (_NOISE_DB / 20.0) * shaped
     return np.clip(wave, -0.999, 0.999)
 

@@ -11,11 +11,12 @@ scores in ``project --hist``, comes from ``class_histograms``.
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .labels import VOCABULARY, OrdinalLabel
+from .neuralnet import CHUNK
 
 _LABEL_KEYS = VOCABULARY["arousal"]  # a report's class keys, for either dimension
 HISTOGRAM_BINS = 50
@@ -301,21 +302,36 @@ def evaluate_scored_events(scored_events: Sequence[tuple[str, OrdinalLabel, Sequ
     )
 
 
-def evaluate(checkpoint, events: Sequence[tuple[str, OrdinalLabel, Sequence[np.ndarray]]]
+def evaluate(checkpoint, events: Iterable[tuple[str, OrdinalLabel, Sequence[np.ndarray]]]
              ) -> EvalReport:
     """Score featurised events with a checkpoint and report both granularities.
 
-    ``events`` holds (event_id, true label, list of feature grids). All
-    frames are scored in one ``predict_many`` call, then split per event,
-    and decoded with the checkpoint's calibrated boundaries.
+    ``events`` is any iterable of (event_id, true label, the event's feature
+    grids), read once, so a generator can featurise each event as it is
+    reached. Events are held back until their frames reach
+    ``neuralnet.CHUNK``; then their frames are scored in one ``predict_many``
+    call, split per event, and only the scores are kept. ``forward`` is
+    batch-invariant, so each score has the bits of one call over all frames.
+    Scores are decoded with the checkpoint's calibrated boundaries.
     """
     from . import models  # deferred: models depends on this module
 
     if checkpoint.boundaries is None:
         raise ValueError("no boundaries: calibrate before evaluating")
-    grids = [g for _, _, event_grids in events for g in event_grids]
-    ends = np.cumsum([len(event_grids) for _, _, event_grids in events])
-    per_event = np.split(models.predict_many(checkpoint, grids), ends[:-1])
-    scored = [(event_id, label, scores)
-              for (event_id, label, _), scores in zip(events, per_event)]
+    scored, held = [], []
+
+    def score_held():
+        grids = [g for _, _, event_grids in held for g in event_grids]
+        ends = np.cumsum([len(event_grids) for _, _, event_grids in held])
+        per_event = np.split(models.predict_many(checkpoint, grids), ends[:-1])
+        scored.extend((event_id, label, scores)
+                      for (event_id, label, _), scores in zip(held, per_event))
+        held.clear()
+
+    for event in events:
+        held.append(event)
+        if sum(len(event_grids) for _, _, event_grids in held) >= CHUNK:
+            score_held()
+    if held:
+        score_held()
     return evaluate_scored_events(scored, checkpoint.boundaries, checkpoint.dimension)

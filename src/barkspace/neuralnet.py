@@ -51,8 +51,10 @@ The chunk's work arrays (patches, conv outputs, pool planes, patch, col2im
 and pool gradients) are made as each layer needs them and freed once the
 next layer has read them, so a step holds one chunk's work arrays besides
 the tape, and the allocator hands the same memory to the next chunk. The
-tape holds only whole-batch arrays that the call made, so any number of
-tapes stay valid side by side.
+tape holds whole-batch arrays that the call made, and may reference the
+input batch itself, as the first layer's cache: no copy of it is made.
+Neither engine call writes the input, so any number of tapes stay valid
+side by side while their callers leave their inputs unchanged.
 """
 
 import math
@@ -351,7 +353,9 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
 
     The batch runs chunk by chunk through every layer in ``_order``. The
     tape, which ``backward`` consumes, is the list of per-layer caches: a
-    whole-batch array for each layer but a flatten, whose slot is None.
+    whole-batch array for each layer but a flatten, whose slot is None. A
+    first conv or dense layer's slot is ``x`` itself, which ``forward``
+    never writes; the caller must not change ``x`` while the tape is in use.
     """
     x = np.asarray(x)
     if x.shape[1:] != tuple(spec.input_shape):
@@ -368,7 +372,8 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
         for i in order:
             layer = layers[i]
             if isinstance(layer, Conv2d):
-                caches[i] = _keep(caches[i], h, lo, n)
+                # the first layer's input is the batch itself: cache x, not a copy
+                caches[i] = x if i == 0 else _keep(caches[i], h, lo, n)
                 h, _ = _conv_forward(h, params.layers[i]["w"], params.layers[i]["b"])
             elif isinstance(layer, Relu):
                 caches[i] = _keep(caches[i], h > 0, lo, n)
@@ -379,7 +384,7 @@ def forward(spec: NetSpec, params: Params, x: np.ndarray):
             elif isinstance(layer, Flatten):
                 h = h.reshape(len(h), -1)
             elif isinstance(layer, Dense):
-                caches[i] = _keep(caches[i], h, lo, n)
+                caches[i] = x if i == 0 else _keep(caches[i], h, lo, n)
                 # one (1,K)x(K,N) product per row: a row's bits do not depend on B
                 h = np.matmul(h[:, None, :], params.layers[i]["w"].T)[:, 0] + params.layers[i]["b"]
         out = _keep(out, h, lo, n)

@@ -9,12 +9,15 @@ the event's samples, blocked to ``features.max_stft_columns`` columns, and
 an event's grids are held as one float32 array. Training joins every
 event's grids into one float32 array, held once: each event keeps a row
 slice of it. The requested model fits that array, and decode boundaries are
-calibrated on its own predictions before saving.
+calibrated on its own predictions before saving. Scoring needs one event's
+grids at a time: ``eval`` and ``project`` featurise each row only when they
+reach it and keep just its scores, so their memory does not grow with the
+number of events.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -110,9 +113,10 @@ def load_event_features(entries: Sequence[ManifestEntry], base_dir,
     return out
 
 
-def evaluation_events(events: Sequence[EventData], dimension: str):
-    """Shape events for evaluation.evaluate: (event_id, label, feature grids)."""
-    return [(ev.event_id, ev.label(dimension), ev.features) for ev in events]
+def evaluation_events(events: Iterable[EventData], dimension: str):
+    """Shape events for evaluation.evaluate, as a generator: (event_id, label,
+    feature grids), each read from ``events`` only when it is reached."""
+    return ((ev.event_id, ev.label(dimension), ev.features) for ev in events)
 
 
 def select_split(entries: Sequence[ManifestEntry], split: Optional[str]) -> list:

@@ -8,7 +8,9 @@ follow the circumplex convention: excited, anxious, relaxed, despondent.
 
 Projection takes an event's feature grids, computed once by the caller and
 scored by both axes' checkpoints, which must therefore share one front end:
-the same feature config, segmentation config and sample rate.
+the same feature config, segmentation config and sample rate. It needs no
+other event's grids, so a caller can featurise, project and drop one event
+at a time, as ``project`` does.
 
 A points file, CSV or JSON, holds one record per event, with the columns of
 ``_COLUMNS``; CSV writes floats with 9 significant digits.

@@ -8,6 +8,8 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import barkspace
 from barkspace import cli, evaluation, models, pipeline, projection
 from barkspace.audio_io import AudioClip, read_wav, write_wav
 from barkspace.cli import main
-from barkspace.corpus import load_manifest
+from barkspace.corpus import load_manifest, save_manifest
 from barkspace.evaluation import EvalReport, event_score
 from barkspace.features import FeatureConfig
 from barkspace.models import (CHECKPOINT_MAGIC, _pack_container, load_checkpoint,
@@ -410,6 +412,82 @@ def test_project_hist_scores_each_event_once(checkpoints, corpus_dir, tmp_path,
             assert hists[dim]["histograms"][key] == expect, (dim, key)
 
 
+def test_streamed_eval_and_project_write_the_bytes_of_scoring_every_event_at_once(
+        checkpoints, corpus_dir, tmp_path):
+    """``eval`` and ``project --hist`` featurise and score one event at a time;
+    their files equal those written from every event's grids held at once,
+    scored by one ``predict_many`` call (eval) or event by event (project)."""
+    manifest = corpus_dir / "manifest.csv"
+    ckpts = {dim: load_checkpoint(path) for dim, path in checkpoints.items()}
+    fc, sc = ckpts["arousal"].feature_config, ckpts["arousal"].segmentation_config
+    events = pipeline.load_event_features(load_manifest(manifest), corpus_dir, sc, fc)
+    ends = np.cumsum([len(ev.features) for ev in events])
+    for dim, path in checkpoints.items():
+        report = tmp_path / f"{dim}.json"
+        assert run("eval", "--model", str(path), "--manifest", str(manifest),
+                   "--report", str(report)) == 0
+        scores = models.predict_many(ckpts[dim], [g for ev in events for g in ev.features])
+        expected = evaluation.evaluate_scored_events(
+            [(ev.event_id, ev.label(dim), s) for ev, s in zip(events, np.split(scores, ends[:-1]))],
+            ckpts[dim].boundaries, dim)
+        assert report.read_text() == expected.to_json(), dim
+
+    out, hist = tmp_path / "points.csv", tmp_path / "hist.json"
+    assert run("project", "--arousal-model", str(checkpoints["arousal"]),
+               "--valence-model", str(checkpoints["valence"]), "--in", str(manifest),
+               "--out", str(out), "--hist", str(hist)) == 0
+    points = [projection.project_event(ckpts["arousal"], ckpts["valence"], ev.event_id,
+                                       ev.features) for ev in events]
+    projection.export_points(points, tmp_path / "expected.csv")
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    expected = {dim: evaluation.class_histograms([getattr(p, f"{dim}_score") for p in points],
+                                                 [ev.label(dim) for ev in events])
+                for dim in ("arousal", "valence")}
+    assert hist.read_text() == json.dumps(expected, indent=2)
+
+
+def _traced_peak(*argv) -> int:
+    """tracemalloc peak of one in-process CLI call above the memory traced at its start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_and_project_memory_does_not_grow_with_the_corpus(checkpoints, tmp_path):
+    """On 4N events, the peak of ``eval`` and of ``project --hist`` exceeds
+    their peak on N events by less than one event's grids: each event's grids
+    are dropped once it is scored. Events of 1.5 s have 12 frames each."""
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--seed", "9", "--n-events", "24", "--dur-min", "1.5",
+               "--dur-max", "1.5", "--out", str(corpus)) == 0
+    entries = load_manifest(corpus / "manifest.csv")
+    manifests = {n: corpus / f"first{n}.csv" for n in (6, 24)}
+    for n, path in manifests.items():
+        save_manifest(entries[:n], path)
+    ckpt = load_checkpoint(checkpoints["arousal"])
+    one_event = pipeline.load_event_features(entries[:1], corpus, ckpt.segmentation_config,
+                                             ckpt.feature_config)[0].features.nbytes
+
+    def commands(manifest):
+        return {"eval": ("eval", "--model", str(checkpoints["arousal"]), "--manifest",
+                         str(manifest), "--report", str(tmp_path / "report.json")),
+                "project": ("project", "--arousal-model", str(checkpoints["arousal"]),
+                            "--valence-model", str(checkpoints["valence"]), "--in",
+                            str(manifest), "--out", str(tmp_path / "points.csv"),
+                            "--hist", str(tmp_path / "hist.json"))}
+
+    for argv in commands(manifests[6]).values():
+        assert run(*argv) == 0  # first calls fill the caches
+    for name, small in commands(manifests[6]).items():
+        growth = _traced_peak(*commands(manifests[24])[name]) - _traced_peak(*small)
+        assert growth < one_event, (name, growth, one_event)
+
+
 def test_project_json_format(checkpoints, corpus_dir, tmp_path):
     out = tmp_path / "points.json"
     assert run("project", "--arousal-model", str(checkpoints["arousal"]),
@@ -651,6 +729,20 @@ def test_synth_duration_out_of_bounds_is_data_error_and_writes_nothing(tmp_path,
     assert done.returncode == 2, done.stderr
     assert f"an event of {float(dur)} s holds fewer than 1 or more than 1048576" in done.stderr
     assert not out.exists()
+
+
+def test_synth_one_sample_events_are_finite_without_warnings(tmp_path):
+    """A negative-valence event of 1 sample has noise of zero spread; synth
+    once divided by it, warned, and wrote a clipped +-0.999 sample."""
+    out = tmp_path / "corpus"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("synth", "--n-events", "6", "--dur-min", "2.3e-5", "--dur-max", "2.3e-5",
+                   "--out", str(out)) == 0
+    samples = np.concatenate([read_wav(out / e.path).samples
+                              for e in load_manifest(out / "manifest.csv")])
+    assert len(samples) == 6 and np.isfinite(samples).all()
+    assert np.abs(samples).max() < 0.999
 
 
 @pytest.mark.parametrize("route", ["flag", "config"])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from barkspace import models
 from barkspace import neuralnet as nn
 from barkspace.evaluation import (Boundaries, ConfusionMatrix, EvalReport,
                                   UndefinedMetricError, _candidate_thresholds, accuracy,
@@ -307,3 +308,38 @@ def test_evaluate_scores_like_predict_many_per_event():
     alone = [(ev, lab, predict_many(ckpt, grids)) for ev, lab, grids in events]
     assert (evaluate(ckpt, events).to_dict()
             == evaluate_scored_events(alone, ckpt.boundaries, "arousal").to_dict())
+
+
+def test_evaluate_streams_a_generator_with_the_bits_of_one_predict_many_call(monkeypatch):
+    """A one-shot generator of events, scored in groups of at least CHUNK
+    frames as it is read, gives the report bytes of one ``predict_many`` over
+    all frames. The lengths straddle the chunk edges, and each group is scored
+    before the next event is read."""
+    spec = nn.NetSpec((1, 6, 5), (nn.Conv2d(2, 3, 3), nn.Relu(), nn.Flatten(),
+                                  nn.Dense(4), nn.Relu(), nn.Dense(1)))
+    ckpt = Checkpoint("arousal", 0, spec, nn.init_params(spec, 0, dtype=np.float32),
+                      FeatureConfig(), SegmentationConfig(), 22050, Boundaries(-0.1, 0.1))
+    rng = np.random.default_rng(6)
+    lengths = [1, 15, 16, 17, 3, 40]
+    events = [(f"e{i}", lab, [rng.uniform(0, 1, size=(6, 5)) for _ in range(n)])
+              for i, (lab, n) in enumerate(zip([L, M, H, L, H, M], lengths))]
+    scores = predict_many(ckpt, [g for _, _, grids in events for g in grids])
+    at_once = [(ev, lab, s) for (ev, lab, _), s
+               in zip(events, np.split(scores, np.cumsum(lengths)[:-1]))]
+    read, calls = [], []
+
+    def counted(ckpt, features):
+        calls.append((len(features), len(read)))
+        return predict_many(ckpt, features)
+
+    def reading():
+        for ev in events:
+            read.append(ev[0])
+            yield ev
+
+    monkeypatch.setattr(models, "predict_many", counted)
+    assert (evaluate(ckpt, reading()).to_json()
+            == evaluate_scored_events(at_once, ckpt.boundaries, "arousal").to_json())
+    # (frames scored, events read so far) of each call, with CHUNK = 16
+    assert nn.CHUNK == 16
+    assert calls == [(16, 2), (16, 3), (17, 4), (43, 6)]

@@ -491,8 +491,8 @@ def test_chunked_engine_matches_unchunked_on_random_specs(seed, b, dtype, input_
 
 
 def test_two_live_tapes_stay_valid():
-    """A tape owns its arrays: a second forward and backward in between leave
-    the first tape, output and gradients intact."""
+    """A tape owns its arrays but the input batch: a second forward and
+    backward in between leave the first tape, output and gradients intact."""
     spec = nn.default_net_spec((1, 20, 15))
     params = nn.init_params(spec, 6, dtype=np.float32)
     rng = np.random.default_rng(3)
@@ -509,6 +509,20 @@ def test_two_live_tapes_stay_valid():
         for e, e_ref in zip(g, g_ref):
             if e is not None:
                 assert np.array_equal(e["w"], e_ref["w"]) and np.array_equal(e["b"], e_ref["b"])
+
+
+def test_first_layer_tape_slot_is_the_input_batch():
+    """The first conv layer caches the batch itself, not a copy of it, and
+    neither forward nor backward writes the batch."""
+    spec = nn.default_net_spec()
+    params = nn.init_params(spec, 1, dtype=np.float32)
+    x = np.random.default_rng(0).random((2 * nn.CHUNK + 3,) + spec.input_shape,
+                                        dtype=np.float32)
+    kept = x.copy()
+    y, tape = nn.forward(spec, params, x)
+    assert np.shares_memory(tape[0], x)
+    nn.backward(spec, params, tape, np.ones_like(y))
+    assert np.array_equal(x, kept)
 
 
 def test_training_step_memory_is_at_most_half_the_unchunked_step():
