@@ -60,6 +60,17 @@ class AudioClip:
         return len(self.samples) / self.sample_rate_hz
 
 
+def open_regular(path, mode: str = "rb", newline=None, error=ValueError):
+    """``open(path, mode, newline=newline)`` for a regular file, else
+    ``error("<path>: not a regular file")``. The open returns at once even on
+    a FIFO, so a FIFO or device is refused unread."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise error(f"{path}: not a regular file")
+    return open(fd, mode, newline=newline)
+
+
 def read_wav(path) -> AudioClip:
     """Decode a RIFF/WAVE PCM16 file to a mono AudioClip.
 
@@ -77,13 +88,8 @@ def read_wav(path) -> AudioClip:
             more than two channels, or a sample rate outside
             [MIN_RATE_HZ, MAX_RATE_HZ].
     """
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # returns at once, even on a FIFO
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode):
-        os.close(fd)
-        raise WavFormatError(f"{path}: not a regular file")
-    with open(fd, "rb") as fh:
-        raw = fh.read(info.st_size)
+    with open_regular(path, error=WavFormatError) as fh:
+        raw = fh.read()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 

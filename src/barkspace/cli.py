@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import models, pipeline, projection
-from .audio_io import CANONICAL_RATE_HZ, AudioClip, read_wav, resample, write_wav
+from .audio_io import CANONICAL_RATE_HZ, AudioClip, open_regular, read_wav, resample, write_wav
 from .corpus import SynthConfig, load_manifest, save_manifest, synth_corpus
 from .evaluation import class_histograms, evaluate, event_level_split
 from .features import FeatureConfig, grid_shape
@@ -45,7 +45,7 @@ def _load_config(path):
     so a misspelt one is refused rather than silently left unread."""
     if path is None:
         return {}
-    with open(path) as fh:
+    with open_regular(path, "r") as fh:
         try:
             cfg = json.load(fh)
         except RecursionError:

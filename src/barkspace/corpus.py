@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .audio_io import CANONICAL_RATE_HZ, AudioClip, write_wav
+from .audio_io import CANONICAL_RATE_HZ, AudioClip, open_regular, write_wav
 from .labels import VOCABULARY, OrdinalLabel, parse_label
 
 MANIFEST_COLUMNS = ("path", "event_id", "arousal", "valence")
@@ -90,7 +90,7 @@ def load_manifest(path) -> list[ManifestEntry]:
     path = Path(path)
     entries: list[ManifestEntry] = []
     seen: dict[str, int] = {}
-    with path.open(newline="") as fh:
+    with open_regular(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -6,7 +6,8 @@ percentage (TAP) is the share of extreme-class instances misclassified as
 the opposite extreme, the ordinal error that plain accuracy fails to weight.
 
 Every per-class score histogram, of frame scores in a report and of event
-scores in ``project --hist``, comes from ``class_histograms``.
+scores in ``project --hist``, comes from ``class_histograms``. ``Boundaries``
+and ``event_score`` are defined in ``models``, beside the checkpoint.
 """
 
 import json
@@ -15,8 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import models
 from .labels import VOCABULARY, OrdinalLabel
-from .neuralnet import CHUNK
+from .models import _AS_IS, Boundaries, event_score
 
 _LABEL_KEYS = VOCABULARY["arousal"]  # a report's class keys, for either dimension
 HISTOGRAM_BINS = 50
@@ -24,18 +26,6 @@ HISTOGRAM_BINS = 50
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric's denominator is empty; never silently 0."""
-
-
-@dataclass(frozen=True)
-class Boundaries:
-    """Two decode thresholds; Medium owns the half-open band [t_low, t_high)."""
-
-    t_low: float
-    t_high: float
-
-    def __post_init__(self):
-        if not (self.t_low <= self.t_high):
-            raise ValueError("t_low must be <= t_high")
 
 
 def decode(v: float, b: Boundaries) -> OrdinalLabel:
@@ -232,21 +222,9 @@ class EvalReport:
 
 
 # (writer, reader) of each report field that is not a plain JSON value
-_AS_IS = (lambda v: v,) * 2
 _REPORT_CODECS = {"boundaries": (asdict, lambda d: Boundaries(**d)),
                   "confusion": (ConfusionMatrix.to_dict, ConfusionMatrix.from_dict),
                   "frame_confusion": (ConfusionMatrix.to_dict, ConfusionMatrix.from_dict)}
-
-
-def event_score(scores: Sequence[float]) -> float:
-    """An event's score: the mean of its frame scores, summed in sorted order.
-
-    Sorting makes the sum, and so the score, independent of frame order.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("an event needs at least one frame score")
-    return float(np.sort(scores).mean())
 
 
 def class_histograms(scores: Sequence[float], labels: Sequence[OrdinalLabel]) -> dict:
@@ -308,30 +286,12 @@ def evaluate(checkpoint, events: Iterable[tuple[str, OrdinalLabel, Sequence[np.n
 
     ``events`` is any iterable of (event_id, true label, the event's feature
     grids), read once, so a generator can featurise each event as it is
-    reached. Events are held back until their frames reach
-    ``neuralnet.CHUNK``; then their frames are scored in one ``predict_many``
-    call, split per event, and only the scores are kept. ``forward`` is
-    batch-invariant, so each score has the bits of one call over all frames.
-    Scores are decoded with the checkpoint's calibrated boundaries.
+    reached. Each event is scored by one ``models.predict_many`` call before
+    the next is read, as ``project`` scores it, and only its scores are
+    kept. Scores are decoded with the checkpoint's calibrated boundaries.
     """
-    from . import models  # deferred: models depends on this module
-
     if checkpoint.boundaries is None:
         raise ValueError("no boundaries: calibrate before evaluating")
-    scored, held = [], []
-
-    def score_held():
-        grids = [g for _, _, event_grids in held for g in event_grids]
-        ends = np.cumsum([len(event_grids) for _, _, event_grids in held])
-        per_event = np.split(models.predict_many(checkpoint, grids), ends[:-1])
-        scored.extend((event_id, label, scores)
-                      for (event_id, label, _), scores in zip(held, per_event))
-        held.clear()
-
-    for event in events:
-        held.append(event)
-        if sum(len(event_grids) for _, _, event_grids in held) >= CHUNK:
-            score_held()
-    if held:
-        score_held()
+    scored = [(event_id, label, models.predict_many(checkpoint, grids))
+              for event_id, label, grids in events]
     return evaluate_scored_events(scored, checkpoint.boundaries, checkpoint.dimension)

@@ -18,6 +18,8 @@ callers featurise each event once and share the grids between both axes.
 ``predict_many`` is the one scorer; it runs the network in fixed chunks,
 read from a grid array as views, which is exact because ``forward`` is
 batch-invariant, so an event scores the same bits alone or inside any batch.
+``eval`` and ``project`` score each event with one call. ``Boundaries`` and
+``event_score`` live here, so ``evaluation`` imports this module, not the reverse.
 
 Checkpoints are a self-describing binary container ("BDN1"): JSON metadata
 (every ``Checkpoint`` field but ``params``, typed on reading by ``from_json``,
@@ -38,8 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import neuralnet as nn
-from .audio_io import CANONICAL_RATE_HZ
-from .evaluation import _AS_IS, Boundaries, event_score
+from .audio_io import CANONICAL_RATE_HZ, open_regular
 from .features import FeatureConfig, grid_shape
 from .labels import DIMENSIONS, VOCABULARY, OrdinalLabel
 from .segmentation import SegmentationConfig
@@ -102,6 +103,18 @@ class TrainConfig:
             raise ValueError(f"pairs_per_epoch must be in [1, {MAX_PAIRS_PER_EPOCH}]")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class Boundaries:
+    """Two decode thresholds; Medium owns the half-open band [t_low, t_high)."""
+
+    t_low: float
+    t_high: float
+
+    def __post_init__(self):
+        if not (self.t_low <= self.t_high):
+            raise ValueError("t_low must be <= t_high")
 
 
 @dataclass
@@ -347,6 +360,17 @@ def predict_many(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> np.ndarray
     return out
 
 
+def event_score(scores: Sequence[float]) -> float:
+    """An event's score: the mean of its frame scores, summed in sorted order.
+
+    Sorting makes the sum, and so the score, independent of frame order.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("an event needs at least one frame score")
+    return float(np.sort(scores).mean())
+
+
 def predict_event(ckpt: Checkpoint, features: Sequence[np.ndarray]) -> float:
     """Event score of one event's feature grids: ``event_score`` of their scores."""
     return event_score(predict_many(ckpt, features))
@@ -368,7 +392,9 @@ def _pack_container(magic: bytes, meta: dict, tensors) -> bytes:
     return blob + struct.pack("<I", zlib.crc32(blob))
 
 
-def _unpack_container(blob: bytes, magic: bytes, path) -> tuple[dict, dict]:
+def _unpack_container(path, magic: bytes) -> tuple[dict, dict]:
+    with open_regular(path) as fh:
+        blob = fh.read()
     if len(blob) < 12:
         raise CheckpointError(f"{path}: truncated file")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
@@ -422,12 +448,16 @@ def save_tensor_file(path, named_arrays, meta: Optional[dict] = None) -> None:
 
 def load_tensor_file(path) -> tuple[dict, dict]:
     """Read back a BDF1 tensor file as (metadata, {name: float32 array})."""
-    return _unpack_container(Path(path).read_bytes(), TENSOR_FILE_MAGIC, path)
+    return _unpack_container(path, TENSOR_FILE_MAGIC)
 
 
 def _typed(x, where: str) -> dict:
     """``asdict(x)`` as ``from_json`` reads it back: an int in a float field as a float."""
     return asdict(from_json(type(x), asdict(x), where))
+
+
+# the (writer, reader) of a record field that is a plain JSON value
+_AS_IS = (lambda v: v,) * 2
 
 
 def _record_codec(cls, key: str):
@@ -484,7 +514,7 @@ def load_checkpoint(path) -> Checkpoint:
     container or NaN/inf tensor, metadata that is not the record or that
     ``from_json`` cannot type, a missing or unknown tensor, or a checkpoint
     that ``_check_checkpoint`` refuses. Either axis tag loads."""
-    meta, tensors = _unpack_container(Path(path).read_bytes(), CHECKPOINT_MAGIC, path)
+    meta, tensors = _unpack_container(path, CHECKPOINT_MAGIC)
     if not (isinstance(meta, dict) and sorted(meta) == _META_KEYS):
         raise CheckpointError(f"{path}: metadata must be a JSON object with the keys "
                               + ", ".join(_META_KEYS))

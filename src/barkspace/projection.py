@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .evaluation import Boundaries
-from .models import Checkpoint, predict_event
+from .models import Boundaries, Checkpoint, predict_event
 
 QUADRANTS = ("excited", "anxious", "relaxed", "despondent")
 

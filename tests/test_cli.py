@@ -947,18 +947,26 @@ def test_deeply_nested_config_is_data_error(tmp_path, capsys):
 
 
 def test_fifo_input_is_data_error(checkpoints, tmp_path):
-    """A FIFO is refused without a read: a blocking open of one never returns,
-    so each command runs in a process of its own, under a timeout."""
+    """A FIFO is refused without a read, as a recording, checkpoint, manifest
+    or config: a blocking open of one never returns, so each command runs in
+    a process of its own, under a timeout."""
     fifo = tmp_path / "x.wav"
     os.mkfifo(fifo)
     manifest = _manifest(tmp_path / "manifest.csv", [["x.wav", "ev0", "high", "low", "test"]])
-    for argv in (["segment", "--in", str(fifo), "--out", str(tmp_path / "events")],
+    wav = tmp_path / "real.wav"
+    write_wav(wav, AudioClip(np.ones(SR, dtype=np.float32), SR))
+    outs = [tmp_path / name for name in ("events", "r.json", "split.csv")]
+    for argv in (["segment", "--in", str(fifo), "--out", str(outs[0])],
+                 ["segment", "--in", str(wav), "--out", str(outs[0]), "--config", str(fifo)],
                  ["eval", "--model", str(checkpoints["arousal"]), "--manifest", str(manifest),
-                  "--report", str(tmp_path / "r.json")]):
+                  "--report", str(outs[1])],
+                 ["eval", "--model", str(fifo), "--manifest", str(manifest),
+                  "--report", str(outs[1])],
+                 ["split", "--manifest", str(fifo), "--ratio", "0.5", "--out", str(outs[2])]):
         done = run_in_process(*argv)
         assert done.returncode == 2, done.stderr
         assert f"{fifo}: not a regular file" in done.stderr
-    assert not (tmp_path / "r.json").exists() and not (tmp_path / "events").exists()
+    assert not any(out.exists() for out in outs)
 
 
 # manifest paths that name nothing a WAV can be read from, relative to the manifest

@@ -310,11 +310,10 @@ def test_evaluate_scores_like_predict_many_per_event():
             == evaluate_scored_events(alone, ckpt.boundaries, "arousal").to_dict())
 
 
-def test_evaluate_streams_a_generator_with_the_bits_of_one_predict_many_call(monkeypatch):
-    """A one-shot generator of events, scored in groups of at least CHUNK
-    frames as it is read, gives the report bytes of one ``predict_many`` over
-    all frames. The lengths straddle the chunk edges, and each group is scored
-    before the next event is read."""
+def test_evaluate_scores_each_event_in_one_call_before_reading_the_next(monkeypatch):
+    """A one-shot generator of events, each scored by one ``predict_many``
+    call before the next event is read, gives the report bytes of one
+    ``predict_many`` over all frames. The lengths straddle the chunk edges."""
     spec = nn.NetSpec((1, 6, 5), (nn.Conv2d(2, 3, 3), nn.Relu(), nn.Flatten(),
                                   nn.Dense(4), nn.Relu(), nn.Dense(1)))
     ckpt = Checkpoint("arousal", 0, spec, nn.init_params(spec, 0, dtype=np.float32),
@@ -340,6 +339,5 @@ def test_evaluate_streams_a_generator_with_the_bits_of_one_predict_many_call(mon
     monkeypatch.setattr(models, "predict_many", counted)
     assert (evaluate(ckpt, reading()).to_json()
             == evaluate_scored_events(at_once, ckpt.boundaries, "arousal").to_json())
-    # (frames scored, events read so far) of each call, with CHUNK = 16
-    assert nn.CHUNK == 16
-    assert calls == [(16, 2), (16, 3), (17, 4), (43, 6)]
+    # (frames scored, events read so far) of each call: one per event, in order
+    assert calls == [(1, 1), (15, 2), (16, 3), (17, 4), (3, 5), (40, 6)]
