@@ -85,6 +85,15 @@ class SynthConfig:
                                  f"{MAX_EVENT_SAMPLES} samples at {CANONICAL_RATE_HZ} Hz")
 
 
+def _csv_rows(reader, path):
+    """``reader``'s rows; a row it cannot parse (a field over ``csv``'s
+    length limit) raises ManifestError naming ``path`` and the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_manifest(path) -> list[ManifestEntry]:
     """Parse a manifest CSV; errors carry 1-based line numbers."""
     path = Path(path)
@@ -92,8 +101,9 @@ def load_manifest(path) -> list[ManifestEntry]:
     seen: dict[str, int] = {}
     with open_regular(path, "r", newline="") as fh:
         reader = csv.reader(fh)
+        rows = _csv_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise ManifestError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
@@ -104,7 +114,7 @@ def load_manifest(path) -> list[ManifestEntry]:
                 f"{path}: header must be path,event_id,arousal,valence[,split], got {header}"
             )
         has_split = len(header) == 5
-        for row in reader:
+        for row in rows:
             line = reader.line_num
             if len(row) != len(header):
                 raise ManifestError(

@@ -48,9 +48,13 @@ from .segmentation import SegmentationConfig
 CHECKPOINT_MAGIC = b"BDN1"
 TENSOR_FILE_MAGIC = b"BDF1"
 CHECKPOINT_VERSION = 1
-# an epoch's pairs are all held while they are drawn, about 170 bytes each
-# (make_pairs' tuples, then the index arrays): 180 MB at this bound
+# an epoch's pairs are all held while they are drawn: make_pairs peaks at 60
+# bytes a pair and returns 20, and train_siamese's index array adds 16
+# (tracemalloc, 2**18 pairs): under 64 MB at this bound
 MAX_PAIRS_PER_EPOCH = 2**20
+# the grid values one training step may gather: 256 MB of float32, about
+# 28,000 default grids; the step's tape is about 4.7 times its gathered grids
+MAX_STEP_ELEMENTS = 2**26
 
 
 class CheckpointError(ValueError):
@@ -210,13 +214,15 @@ def _check_loss(loss: float, step: int) -> float:
 
 
 def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
-               epoch: int) -> list[tuple[int, int, float]]:
-    """Sample (index_a, index_b, target) pairs, target = value(a) - value(b).
+               epoch: int) -> np.recarray:
+    """Sample pairs as one record array that iterates as (a, b, target) triples.
 
-    Sampling is stratified over the 9 ordered label combinations so the cell
-    counts are as uniform as the available labels allow; the remainder cells
-    are picked uniformly at random. Pairs with a == b (same index) never
-    occur. The stream is a pure function of (seed, epoch).
+    ``a`` and ``b`` are int64 frame indices, ``target`` is the float32
+    value(a) - value(b). Sampling is stratified over the 9 ordered label
+    combinations so the cell counts are as uniform as the available labels
+    allow; the remainder cells are picked uniformly at random. Pairs with
+    a == b (same index) never occur. The stream is a pure function of (seed,
+    epoch).
     """
     if len(labels) < 2:
         raise ValueError("need at least 2 labeled frames to form pairs")
@@ -225,13 +231,10 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
 
     rng = np.random.default_rng((int(seed), int(epoch), 0x9A125))
     order = (OrdinalLabel.HIGH, OrdinalLabel.MEDIUM, OrdinalLabel.LOW)
-    groups = {lab: np.flatnonzero([l == lab for l in labels]) for lab in order}
-    cells = [
-        (a, b)
-        for a in order
-        for b in order
-        if len(groups[a]) and len(groups[b]) and not (a == b and len(groups[a]) < 2)
-    ]
+    codes = np.asarray(labels)
+    groups = {lab: np.flatnonzero(codes == lab) for lab in order}
+    cells = [(a, b) for a in order for b in order
+             if len(groups[a]) and len(groups[b]) and not (a == b and len(groups[a]) < 2)]
     if not cells:
         raise ValueError("labels admit no valid pairs")
 
@@ -240,7 +243,7 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
     for j in rng.choice(len(cells), size=pairs_per_epoch % len(cells), replace=False):
         counts[j] += 1
 
-    pairs = []
+    draws = []
     for (a, b), count in zip(cells, counts):
         ga, gb = groups[a], groups[b]
         ia = ga[rng.integers(0, len(ga), size=count)]
@@ -250,9 +253,9 @@ def make_pairs(labels: Sequence[OrdinalLabel], pairs_per_epoch: int, seed: int,
             while clash.any():
                 ib[clash] = gb[rng.integers(0, len(gb), size=int(clash.sum()))]
                 clash = ia == ib
-        target = a.numeric - b.numeric
-        pairs.extend((int(i), int(j), target) for i, j in zip(ia, ib))
-    return pairs
+        draws.append((ia, ib, np.full(count, a.numeric - b.numeric, np.float32)))
+    return np.rec.fromarrays([np.concatenate(column) for column in zip(*draws)],
+                             names="a,b,target")
 
 
 def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, examples,
@@ -263,13 +266,16 @@ def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, ex
     ``grids`` holds one (n_mels, n_time) grid per frame, as an array (a
     float32 one is read in place, never copied) or a list, and ``labels``
     one label per frame. ``examples(labels, epoch)`` gives, from the labels
-    alone, ``members``, a (k, n) array of frame indices, and n float32
-    targets. An example's prediction is the score of its member 0 minus the
-    scores of its other members: score(a) for k = 1, score(a) - score(b) for
-    k = 2. A batch runs all its members as one stacked batch, so their
-    gradients accumulate into the shared weights in a fixed order. Examples
-    are reshuffled every epoch by a (seed, epoch)-derived generator; the
-    result is a pure function of (data, config, seed).
+    alone, ``members``, a (k, n) array of frame indices, and a float32 array
+    of n targets (``make_pairs``' ``target`` field, for pairs). An example's
+    prediction is the score of its member 0 minus the scores of its other
+    members: score(a) for k = 1, score(a) - score(b) for k = 2. A batch runs
+    all its members as one stacked batch, so their gradients accumulate into
+    the shared weights in a fixed order; a step that would gather more than
+    ``MAX_STEP_ELEMENTS`` grid values is refused with a ValueError before
+    the epoch's first step. Examples are reshuffled every epoch by a (seed,
+    epoch)-derived generator; the result is a pure function of (data,
+    config, seed).
     """
     _check_training_set(labels, cfg.dimension)
     if len(grids) != len(labels):
@@ -286,6 +292,11 @@ def _fit(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainConfig, ex
     history = []
     for epoch in range(cfg.epochs):
         members, target = examples(labels, epoch)
+        step = len(members) * min(cfg.batch_size, len(target))
+        if step * x[0].size > MAX_STEP_ELEMENTS:
+            raise ValueError(f"batch size {cfg.batch_size} makes a training step of {step} "
+                             f"grids of {x[0].size} values, past the bound of "
+                             f"{MAX_STEP_ELEMENTS} values")
         sign = np.array((1, -1)[: len(members)], np.float32)  # d pred / d member score
         perm = np.random.default_rng((cfg.seed, epoch, 0x5487FE)).permutation(len(target))
         losses = []
@@ -324,13 +335,12 @@ def train_siamese(grids: np.ndarray, labels: Sequence[OrdinalLabel], cfg: TrainC
     from the frames' grids (see ``_fit``) and their labels.
 
     Each epoch draws ``cfg.pairs_per_epoch`` pairs (4 per frame by default)
-    from ``make_pairs``; the loss is the MSE between score(a) - score(b) and
-    the pair target.
+    from ``make_pairs``, whose ``a`` and ``b`` fields are the members; the
+    loss is the MSE between score(a) - score(b) and the ``target`` field.
     """
     def examples(labels, epoch):
         pairs = make_pairs(labels, cfg.pairs_per_epoch or 4 * len(labels), cfg.seed, epoch)
-        ia, ib, target = zip(*pairs)
-        return np.array((ia, ib)), np.asarray(target, dtype=np.float32)
+        return np.array((pairs.a, pairs.b)), pairs.target
 
     return _fit(grids, labels, cfg, examples, net_spec, feature_config, segmentation_config)
 

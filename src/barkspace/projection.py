@@ -131,11 +131,16 @@ def export_points(points: Sequence[EmotionPoint], path, fmt: str = "csv") -> Non
 
 
 def load_points(path, fmt: str = "csv") -> list[EmotionPoint]:
-    """Read back an export_points file."""
+    """Read back an export_points file; a CSV field over ``csv``'s length
+    limit raises ValueError naming the file and the line."""
     path = Path(path)
     if fmt == "csv":
         with path.open(newline="") as fh:
-            header, *rows = csv.reader(fh)
+            reader = csv.reader(fh)
+            try:
+                header, *rows = reader
+            except csv.Error as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         if header != list(_COLUMNS):
             raise ValueError(f"unexpected CSV header {header!r}")
         records = [dict(zip(header, row)) for row in rows]

@@ -745,24 +745,32 @@ def test_synth_one_sample_events_are_finite_without_warnings(tmp_path):
     assert np.abs(samples).max() < 0.999
 
 
-@pytest.mark.parametrize("route", ["flag", "config"])
-def test_oversized_pairs_per_epoch_is_data_error_and_writes_nothing(corpus_dir, tmp_path,
-                                                                    route):
-    """A pair count past the bound exits 2 before any audio is read, not 3 on
-    a failed allocation in make_pairs."""
+@pytest.mark.parametrize("flags, config, code, message", [
+    pytest.param([], {"pairs_per_epoch": 10**12}, 2,
+                 f"pairs_per_epoch must be in [1, {models.MAX_PAIRS_PER_EPOCH}]", id="config"),
+    pytest.param(["--pairs-per-epoch", str(10**12)], None, 2,
+                 f"pairs_per_epoch must be in [1, {models.MAX_PAIRS_PER_EPOCH}]", id="flag"),
+    pytest.param(["--batch", str(2**20), "--pairs-per-epoch", str(2**20)], None, 2,
+                 f"batch size {2**20} makes a training step of {2**21} grids", id="step-2e20"),
+    pytest.param(["--batch", str(10**9), "--epochs", "1"], None, 0, "", id="batch-1e9"),
+])
+def test_oversized_pairs_per_epoch_is_data_error_and_writes_nothing(corpus_dir, tmp_path, flags,
+                                                                    config, code, message):
+    """A pair count past its bound exits 2 before any audio is read, and a
+    step too big to gather (2**21 grids of 64x37, 18.5 GiB) exits 2 before
+    the first step: not 3 on a failed allocation. A batch size past the
+    epoch is one whole, small step, so it trains."""
     out = tmp_path / "out.ckpt"
     argv = ["train", "--manifest", str(corpus_dir / "manifest.csv"), "--dim", "valence",
-            "--model", "siamese", "--out", str(out)]
-    if route == "flag":
-        argv += ["--pairs-per-epoch", str(10**12)]
-    else:
+            "--model", "siamese", "--out", str(out), *flags]
+    if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train": {"pairs_per_epoch": 10**12}}))
+        cfg.write_text(json.dumps({"train": config}))
         argv += ["--config", str(cfg)]
     done = run_in_process(*argv, preexec_fn=_cap_address_space)
-    assert done.returncode == 2, done.stderr
-    assert f"pairs_per_epoch must be in [1, {models.MAX_PAIRS_PER_EPOCH}]" in done.stderr
-    assert not out.exists()
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
+    assert out.exists() == (code == 0)
 
 
 def test_config_file_overrides(corpus_dir, tmp_path):
@@ -971,7 +979,7 @@ def test_fifo_input_is_data_error(checkpoints, tmp_path):
 
 # manifest paths that name nothing a WAV can be read from, relative to the manifest
 _BAD_WAV_PATHS = ["missing.wav", "a" * 5000 + ".wav", "manifest.csv/x.wav", ".",
-                  "manifest.csv", "empty.wav", "nul\x00.wav"]
+                  "manifest.csv", "empty.wav", "nul\x00.wav", "a" * 140_000 + ".wav"]
 # cells that are mostly valid, so that many manifests parse and their paths get read
 _IDS = st.sampled_from(["ev0", "ev1", "ev2", "", "évent"])
 _LABELS = st.sampled_from(["high", "Medium", "low", "positive", "neutral", "negative", "",

@@ -50,8 +50,10 @@ def test_manifest_unknown_token_reports_line(tmp_path):
 
 
 def test_manifest_bad_row_reports_line(tmp_path):
-    with pytest.raises(ManifestError, match=r"line 2"):
-        load_manifest(write_manifest(tmp_path, ["only,three,fields"]))
+    """A short row, and a path over ``csv``'s field limit of 131,072 characters."""
+    for row in ("only,three,fields", "a" * 140_000 + ".wav,e1,high,positive"):
+        with pytest.raises(ManifestError, match=r"line 2"):
+            load_manifest(write_manifest(tmp_path, [row]))
 
 
 def test_manifest_bad_header(tmp_path):

@@ -112,8 +112,26 @@ def test_make_pairs_deterministic_per_seed_epoch():
     a = make_pairs(labels, 40, seed=7, epoch=1)
     b = make_pairs(labels, 40, seed=7, epoch=1)
     c = make_pairs(labels, 40, seed=7, epoch=2)
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_make_pairs_holds_one_record_array():
+    """An epoch's pairs are held as two int64 indices and a float32 target,
+    20 bytes a pair; (int, int, float) tuples held over 100."""
+    labels = [H, M, L] * 200
+    n = 2**16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pairs = make_pairs(labels, n, seed=5, epoch=0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 32 * n, held / n
+    assert pairs.dtype.names == ("a", "b", "target") and len(pairs) == n
+    assert (pairs.a.dtype, pairs.b.dtype, pairs.target.dtype) == (np.int64, np.int64,
+                                                                  np.float32)
 
 
 def test_make_pairs_needs_two_frames():

@@ -143,6 +143,15 @@ def test_export_roundtrip(tmp_path, fmt):
         assert b.n_frames == a.n_frames
 
 
+def test_points_field_over_the_csv_limit_is_a_value_error_naming_its_line(tmp_path):
+    """An event id longer than ``csv``'s field limit (131,072 characters)."""
+    path = tmp_path / "points.csv"
+    export_points([*sample_points(), EmotionPoint("e" * 140_000, 0.0, 0.0, "excited", 1)],
+                  path)
+    with pytest.raises(ValueError, match=r"points\.csv: line 5: field larger than field limit"):
+        load_points(path)
+
+
 def test_export_empty_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     export_points([], path, fmt="csv")
