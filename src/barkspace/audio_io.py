@@ -4,6 +4,14 @@ Pipeline audio is mono float64 in [-1, 1]. Only RIFF/WAVE PCM16 input is
 supported. Everything is resampled to ``CANONICAL_RATE_HZ`` before
 segmentation so a fixed-length frame always denotes the same duration,
 whatever the source recorder used.
+
+``read_wav`` keeps the data chunk as PCM16 (a ``PcmClip``), decoded only as
+it is read. Every clip has ``stretch(a, b)``, samples ``a`` to ``b`` as
+float64 with zeros outside the clip, and ``resample`` reads its input only
+through it, a block at a time. So neither holds a recording whole as floats
+at its own rate: what they hold at once is its file bytes and its
+canonical-rate output. A ``PcmClip``'s ``samples`` decodes the whole clip,
+anew on each access.
 """
 
 import math
@@ -55,9 +63,55 @@ class AudioClip:
             raise ValueError("sample_rate_hz must be positive")
         self.sample_rate_hz = int(self.sample_rate_hz)
 
+    def __len__(self) -> int:
+        return len(self.samples)
+
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
+        return len(self) / self.sample_rate_hz
+
+    def stretch(self, a: int, b: int) -> np.ndarray:
+        """Samples ``a`` to ``b`` (half-open) as a new float64 array, with zeros
+        where the span runs past either end of the clip."""
+        out = np.zeros(b - a)
+        lo, hi = max(a, 0), min(b, len(self))
+        if lo < hi:
+            self._decode(lo, hi, out[lo - a : hi - a])
+        return out
+
+    def _decode(self, lo: int, hi: int, out: np.ndarray) -> None:
+        out[:] = self.samples[lo:hi]
+
+
+class PcmClip(AudioClip):
+    """A PCM16 WAV's data chunk, kept as read, plus its sample rate.
+
+    ``frames`` is an (n, channels) int16 view of the file's bytes, 1 or 2
+    channels. ``stretch`` decodes only the samples it is asked for, so a
+    reader that takes the clip a stretch at a time never holds it as floats;
+    ``samples`` decodes the whole clip, anew on each access.
+    """
+
+    def __init__(self, frames: np.ndarray, sample_rate_hz: int):
+        self.frames = frames
+        self.sample_rate_hz = int(sample_rate_hz)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.stretch(0, len(self))
+
+    def _decode(self, lo: int, hi: int, out: np.ndarray) -> None:
+        # int16 sums and power-of-two scales never round: mono is x * 2**-15,
+        # stereo (l + r) * 2**-16, the bits of mean(axis=1) / 32768
+        out[:] = self.frames[lo:hi, 0]
+        if self.frames.shape[1] == 2:
+            out += self.frames[lo:hi, 1]
+            out *= 0.5 / PCM16_SCALE
+        else:
+            out *= 1.0 / PCM16_SCALE
 
 
 def open_regular(path, mode: str = "rb", newline=None, error=ValueError):
@@ -71,10 +125,12 @@ def open_regular(path, mode: str = "rb", newline=None, error=ValueError):
     return open(fd, mode, newline=newline)
 
 
-def read_wav(path) -> AudioClip:
-    """Decode a RIFF/WAVE PCM16 file to a mono AudioClip.
+def read_wav(path) -> PcmClip:
+    """Read a RIFF/WAVE PCM16 file as a mono PcmClip.
 
-    Samples are scaled by 1/32768 into [-1, 32767/32768]; stereo is collapsed to mono
+    The data chunk stays as read: the clip holds it as PCM16 frames and
+    decodes a stretch of samples only when asked (see ``PcmClip``). Samples
+    are scaled by 1/32768 into [-1, 32767/32768]; stereo is collapsed to mono
     by the per-sample arithmetic mean of the two channels. Both are exact:
     mono is ``x * 2**-15`` and stereo ``(l + r) * 2**-16`` in float64, where
     int16 sums and power-of-two scales never round, so the result has the
@@ -129,15 +185,7 @@ def read_wav(path) -> AudioClip:
     if len(data) % (2 * channels):
         raise WavFormatError(f"{path}: data chunk is not a whole number of frames")
 
-    ints = np.frombuffer(data, dtype="<i2")
-    if channels == 2:
-        samples = ints[0::2].astype(np.float64)
-        samples += ints[1::2]
-        samples *= 0.5 / PCM16_SCALE
-    else:
-        samples = ints.astype(np.float64)
-        samples *= 1.0 / PCM16_SCALE
-    return AudioClip(samples, sample_rate)
+    return PcmClip(np.frombuffer(data, dtype="<i2").reshape(-1, channels), sample_rate)
 
 
 def write_wav(path, clip: AudioClip) -> None:
@@ -176,6 +224,23 @@ def _lowpass_taps(up: int, down: int) -> np.ndarray:
     return h
 
 
+def _bands(h: np.ndarray, up: int, down: int, row_len: int):
+    """Each band of a row's columns as (first column, first input, taps).
+
+    A band is at most BAND_COLS output columns q; it reads inputs
+    ceil((q[0]*down - half) / up) to floor((q[-1]*down + half) / up) of its
+    row, and its taps are the banded matrix ``h[half + q*down - j*up]``
+    (zero off the filter) over those inputs j.
+    """
+    half = len(h) // 2
+    for q0 in range(0, row_len, BAND_COLS):
+        q = np.arange(q0, min(q0 + BAND_COLS, row_len))
+        first = -((half - q0 * down) // up)
+        j = np.arange(first, (q[-1] * down + half) // up + 1)
+        d = half + q * down - j[:, None] * up
+        yield q0, first, np.where((d >= 0) & (d <= 2 * half), h[np.clip(d, 0, 2 * half)], 0.0)
+
+
 def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     """Resample with a Kaiser-windowed polyphase sinc filter.
 
@@ -188,18 +253,22 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     (Crochiere & Rabiner, *Multirate Digital Signal Processing*, 1983): the
     outputs are cut into rows of ``G*up``, G = max(1, BAND_COLS // up), so
     row r reads the input from ``r*G*down`` on and every row shares one
-    banded tap matrix. A row's columns are split into bands of at most
-    BAND_COLS outputs, each with its own narrow input window, and the rows
-    are taken ROW_BLOCK at a time, so each block's window copy stays in cache.
+    banded tap matrix. The rows are taken ROW_BLOCK at a time, each
+    block's input read with one ``clip.stretch``, so a ``PcmClip`` is
+    decoded a block at a time and never held whole as floats. A row's
+    columns are split into bands of at most BAND_COLS outputs (``_bands``),
+    each a GEMM of the block's rows over its own narrow input window, which
+    stays in cache. The bands' taps are kept only when more than one block
+    reads them; then the input or the output outweighs them about threefold.
     """
     target_hz = int(target_hz)
     if target_hz <= 0:
         raise ValueError("target_hz must be positive")
+    n_in = len(clip)
     if target_hz == clip.sample_rate_hz:
-        return AudioClip(clip.samples.copy(), target_hz)
+        return AudioClip(clip.stretch(0, n_in), target_hz)
 
     src_hz = clip.sample_rate_hz
-    n_in = len(clip.samples)
     n_out = (2 * n_in * target_hz + src_hz) // (2 * src_hz)
     if n_out == 0:
         return AudioClip(np.zeros(0), target_hz)
@@ -211,24 +280,22 @@ def resample(clip: AudioClip, target_hz: int) -> AudioClip:
     groups = max(1, BAND_COLS // up)
     row_len, row_step = groups * up, groups * down
     n_rows = -(-n_out // row_len)
-    # x with zeros either side, so that every row's window lies inside it
-    lead = half // up
-    end = (n_rows - 1) * row_step + ((row_len - 1) * down + half) // up + 1
-    padded = np.zeros(lead + max(end, n_in))
-    padded[lead : lead + n_in] = clip.samples
+    # a row reads inputs lo to hi - 1, counted from its first
+    lo = -(half // up)
+    hi = ((row_len - 1) * down + half) // up + 1
+    # a lone block makes each band's taps as it reaches them, so a long
+    # filter never holds every band's at once
+    bands = _bands(h, up, down, row_len)
+    if n_rows > ROW_BLOCK:
+        bands = list(bands)
     out = np.empty((n_rows, row_len))
-    for q0 in range(0, row_len, BAND_COLS):
-        q = np.arange(q0, min(q0 + BAND_COLS, row_len))
-        # inputs ceil((q0*down - half) / up) to floor((q[-1]*down + half) / up)
-        first = -((half - q0 * down) // up)
-        j = np.arange(first, (q[-1] * down + half) // up + 1)
-        d = half + q * down - j[:, None] * up
-        taps = np.where((d >= 0) & (d <= 2 * half), h[np.clip(d, 0, 2 * half)], 0.0)
-        start = lead + first
-        windows = np.lib.stride_tricks.sliding_window_view(padded, len(j))[start::row_step]
-        for r0 in range(0, n_rows, ROW_BLOCK):
-            block = np.ascontiguousarray(windows[r0 : r0 + ROW_BLOCK])
-            out[r0 : r0 + ROW_BLOCK, q0 : q0 + len(q)] = block @ taps
+    for r0 in range(0, n_rows, ROW_BLOCK):
+        rows = min(ROW_BLOCK, n_rows - r0)
+        x = clip.stretch(r0 * row_step + lo, (r0 + rows - 1) * row_step + hi)
+        for q0, first, taps in bands:
+            windows = np.lib.stride_tricks.sliding_window_view(x[first - lo :], len(taps))
+            block = np.ascontiguousarray(windows[: (rows - 1) * row_step + 1 : row_step])
+            out[r0 : r0 + rows, q0 : q0 + taps.shape[1]] = block @ taps
     out = out.reshape(-1)[:n_out]
     np.clip(out, -1.0, 1.0, out=out)
     return AudioClip(out, target_hz)

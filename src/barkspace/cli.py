@@ -4,10 +4,14 @@ Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 data error (unreadable or inconsistent inputs), 3 internal invariant
 violation. Every subcommand is deterministic given its flags and inputs.
 ``eval`` and ``project`` featurise, score and drop one event at a time, so
-they hold one event's grids, not the corpus's.
+they hold one event's grids, not the corpus's. When a command ends, success
+or not, the heap's free pages go back to the system once (glibc's
+``malloc_trim``, where the C library has it), so a process that runs one
+command after another does not keep the largest one's memory.
 """
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -359,6 +363,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _trim_heap() -> None:
+    """``malloc_trim(0)``: hand the heap's free pages back to the system, where
+    the C library has that symbol (glibc); elsewhere nothing."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -373,6 +388,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the exit-code contract needs a catch-all
         print(f"barkspace {args.command}: internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    finally:
+        _trim_heap()
 
 
 if __name__ == "__main__":

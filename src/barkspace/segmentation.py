@@ -18,6 +18,8 @@ import numpy as np
 from .audio_io import AudioClip
 
 _EPS = 1e-10
+# samples squared per step of ``detect_nonsilent``'s running sum
+ENERGY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,24 @@ class Frame:
         self.samples = np.asarray(self.samples, dtype=np.float64)
 
 
+def _window_db(x: np.ndarray, offsets: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """20*log10(rms + 1e-10) of each window ``x[offsets[i]:ends[i]]``.
+
+    The running sum of squares is built ENERGY_BLOCK samples at a time, each
+    block's first square taking the sum so far, so it has the bits of one
+    ``np.cumsum`` of the whole clip without its clip-sized temporaries; it is
+    freed on return, before any segment is copied.
+    """
+    csum = np.empty(len(x) + 1)
+    csum[0] = 0.0
+    for a in range(0, len(x), ENERGY_BLOCK):
+        sq = x[a : a + ENERGY_BLOCK] * x[a : a + ENERGY_BLOCK]
+        sq[0] += csum[a]
+        np.cumsum(sq, out=csum[a + 1 : a + 1 + len(sq)])
+    rms = np.sqrt((csum[ends] - csum[offsets]) / (ends - offsets))
+    return 20.0 * np.log10(rms + _EPS)
+
+
 def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig = SegmentationConfig(),
                      event_prefix: str = "event") -> list[EventSegment]:
     """Find non-silent segments relative to the loudest detection window.
@@ -85,9 +105,7 @@ def detect_nonsilent(clip: AudioClip, cfg: SegmentationConfig = SegmentationConf
 
     offsets = np.arange(0, n, cfg.detect_hop)
     ends = np.minimum(offsets + cfg.detect_frame_len, n)
-    csum = np.concatenate(([0.0], np.cumsum(x * x)))
-    rms = np.sqrt((csum[ends] - csum[offsets]) / (ends - offsets))
-    db = 20.0 * np.log10(rms + _EPS)
+    db = _window_db(x, offsets, ends)
     keep = db > (db.max() - cfg.top_db)
 
     segments = []

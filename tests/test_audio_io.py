@@ -17,8 +17,8 @@ from scipy.signal import resample_poly
 import barkspace
 from barkspace import neuralnet as nn
 from barkspace.audio_io import (CANONICAL_RATE_HZ, MAX_RATE_HZ, MIN_RATE_HZ, AudioClip,
-                                UnsupportedWavError, WavFormatError, read_wav, resample,
-                                write_wav)
+                                PcmClip, UnsupportedWavError, WavFormatError, read_wav,
+                                resample, write_wav)
 from barkspace.evaluation import Boundaries
 from barkspace.features import FeatureConfig
 from barkspace.models import Checkpoint, save_checkpoint
@@ -139,6 +139,48 @@ def test_resample_identity_is_bitwise():
     out = resample(clip, 22050)
     assert out.sample_rate_hz == 22050
     assert np.array_equal(out.samples, clip.samples)
+
+
+def zero_extended(x, a, b):
+    """x[a:b] with zeros for the indices outside x."""
+    lead = max(0, -a)
+    padded = np.concatenate((np.zeros(lead), x, np.zeros(max(0, b - len(x)))))
+    return padded[a + lead : b + lead]
+
+
+@pytest.mark.parametrize("channels", [1, 2, None])
+def test_stretch_is_the_zero_extended_slice_of_the_samples(tmp_path, channels):
+    """For mono and stereo PCM clips (``read_wav``) and for an AudioClip."""
+    rng = np.random.default_rng(21)
+    n = 1000
+    if channels is None:
+        clip = AudioClip(rng.uniform(-1.0, 1.0, size=n), 22050)
+    else:
+        ints = extreme_int16(rng, channels * n)
+        clip = read_wav(write(tmp_path, "c.wav",
+                              wav_header_bytes(ints.tobytes(), 22050, channels)))
+        assert isinstance(clip, PcmClip)
+    x = clip.samples
+    assert len(clip) == len(x) == n
+    for a, b in [(0, n), (-7, 10), (-300, n + 300), (n - 3, n + 5), (17, 17), (-5, -5),
+                 (n, n), (-9, -2), (n + 1, n + 4), (250, 750)]:
+        got = clip.stretch(a, b)
+        assert got.dtype == np.float64 and got.tobytes() == zero_extended(x, a, b).tobytes(), \
+            (a, b)
+
+
+# 6 s at each rate is more than one ROW_BLOCK (256) of output rows: a row
+# holds at most 441 outputs at these rates
+@pytest.mark.parametrize("rate", [8000, 16000, 44100, 48000])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_resample_of_a_pcm_clip_has_the_bits_of_its_decoded_samples(tmp_path, rate, channels):
+    rng = np.random.default_rng(rate + channels)
+    for n in (11, 1001, 6 * rate + 13):
+        p = write(tmp_path, "r.wav", wav_header_bytes(
+            extreme_int16(rng, channels * n).tobytes(), rate, channels))
+        got = resample(read_wav(p), CANONICAL_RATE_HZ).samples
+        want = resample(AudioClip(read_wav(p).samples, rate), CANONICAL_RATE_HZ).samples
+        assert got.tobytes() == want.tobytes(), n
 
 
 # run in a fresh interpreter, since this one has imported scipy already

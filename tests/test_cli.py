@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import wave
 from dataclasses import asdict
 from pathlib import Path
 
@@ -586,6 +588,65 @@ def test_segment_two_bursts(tmp_path):
     for item in index:
         clip = read_wav(out / f"{item['event_id']}.wav")
         assert len(clip.samples) == item["end_sample"] - item["start_sample"]
+
+
+@pytest.fixture(scope="module")
+def field_recording(tmp_path_factory):
+    """30 s of stereo 44.1 kHz PCM16: faint noise with a tone burst every 2 s."""
+    sr, rng = 44100, np.random.default_rng(26)
+    x = 0.003 * rng.standard_normal((30 * sr, 2))
+    t = np.arange(int(0.6 * sr)) / sr
+    for start in range(sr // 2, 29 * sr, 2 * sr):
+        x[start : start + len(t)] += np.column_stack([0.4 * np.sin(2 * np.pi * 500.0 * t),
+                                                      0.3 * np.sin(2 * np.pi * 750.0 * t)])
+    path = tmp_path_factory.mktemp("field") / "field.wav"
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(sr)
+        w.writeframes(np.rint(x * 32767).astype("<i2").tobytes())
+    return path
+
+
+def test_segment_peak_memory_is_under_2_5_bytes_per_wav_byte(field_recording, tmp_path):
+    """The recording is decoded as the resampler reads it, and the energy sum
+    is built a block at a time, so no 44.1 kHz float copy is ever held."""
+    peak = _traced_peak("segment", "--in", str(field_recording), "--out", str(tmp_path / "ev"))
+    assert len(json.loads((tmp_path / "ev" / "index.json").read_text())) == 15
+    assert peak <= 2.5 * field_recording.stat().st_size, peak
+
+
+def _has_malloc_trim() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_trim")
+    except (OSError, TypeError):
+        return False
+
+
+_RESIDENT_AROUND_SEGMENT = """
+import os, sys
+from barkspace.cli import main
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+before = resident()
+assert main(["segment", "--in", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(before, resident())
+"""
+
+
+@pytest.mark.skipif(not _has_malloc_trim(), reason="the C library has no malloc_trim")
+def test_segment_hands_the_heap_back_when_it_ends(field_recording, tmp_path):
+    """In a fresh process, a segment call leaves under 5 MB more resident than before it."""
+    src = str(Path(barkspace.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _RESIDENT_AROUND_SEGMENT,
+                           str(field_recording), str(tmp_path / "ev")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stdout.split())
+    assert after - before < 5e6, (before, after)
 
 
 def test_segment_silent_input_gives_empty_index(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from barkspace.audio_io import AudioClip
-from barkspace.segmentation import (EventSegment, SegmentationConfig,
-                                    detect_nonsilent, frame_segment)
+from barkspace.segmentation import (ENERGY_BLOCK, EventSegment, SegmentationConfig,
+                                    _window_db, detect_nonsilent, frame_segment)
 
 SR = 22050
 
@@ -82,6 +82,28 @@ def test_segment_samples_match_span():
     x = np.concatenate([np.zeros(4000), tone(2000), np.zeros(4000)])
     (seg,) = detect_nonsilent(AudioClip(x, SR))
     assert np.array_equal(seg.samples, x[seg.start_sample : seg.end_sample])
+
+
+@pytest.mark.parametrize("n", [ENERGY_BLOCK - 1, ENERGY_BLOCK, ENERGY_BLOCK + 1,
+                               3 * ENERGY_BLOCK + 257])
+def test_blocked_energy_has_the_bits_of_one_cumsum(n):
+    """Window dB and spans equal those of one ``np.cumsum`` over the whole clip."""
+    rng = np.random.default_rng(n)
+    x = 0.01 * rng.standard_normal(n)
+    for start in range(0, n - 3000, 7000):
+        x[start : start + 3000] += tone(3000, amp=rng.uniform(0.05, 0.9))
+    cfg = SegmentationConfig()
+    offsets = np.arange(0, n, cfg.detect_hop)
+    ends = np.minimum(offsets + cfg.detect_frame_len, n)
+    csum = np.concatenate(([0.0], np.cumsum(x * x)))
+    want = 20.0 * np.log10(np.sqrt((csum[ends] - csum[offsets]) / (ends - offsets)) + 1e-10)
+    assert _window_db(x, offsets, ends).tobytes() == want.tobytes()
+    keep = np.flatnonzero(want > want.max() - cfg.top_db)
+    runs = np.split(keep, np.flatnonzero(np.diff(keep) > 1) + 1)
+    spans = [(int(offsets[r[0]]), int(min(offsets[r[-1]] + cfg.detect_frame_len, n)))
+             for r in runs]
+    assert [(s.start_sample, s.end_sample)
+            for s in detect_nonsilent(AudioClip(x, SR), cfg)] == spans
 
 
 def seg(n, event_id="ev"):
